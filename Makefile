@@ -110,9 +110,12 @@ fuzz:
 # must produce record-identical NDJSON vs a fault-free run, and the
 # cluster suite does the same across a sharded fleet (backend kills,
 # partitions, rebalances mid-collision). The seed matrix is fixed
-# inside the tests so runs are reproducible.
+# inside the tests so runs are reproducible. The park/resume race tests
+# and the exhaustive bounded model check of the resume protocol
+# (internal/resume) run here under the race detector too.
+CHAOS_TESTS = ^(TestChaos|TestPark|TestRouterParkResumeOffset|TestReconnectContext|TestModelResumeProtocol)
 chaos:
-	$(GO) test -race -run '^TestChaos' -count=1 ./internal/server/ ./internal/cluster/
+	$(GO) test -race -run '$(CHAOS_TESTS)' -count=1 ./internal/server/ ./internal/cluster/ ./internal/resume/
 
 # Loopback end-to-end smoke of the ingestion pipeline:
 # cic-gen capture → cic-feed → cic-gatewayd → NDJSON assert (plus a

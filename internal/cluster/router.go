@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"cic"
+	"cic/internal/resume"
 	"cic/internal/server"
 )
 
@@ -25,7 +26,7 @@ const (
 	DefaultBreakerBase = 100 * time.Millisecond
 	DefaultBreakerMax  = 5 * time.Second
 	// DefaultRetainCap bounds one routed session's replay retention
-	// (samples). Past the cap the oldest chunks are trimmed — failover
+	// (samples). Past the cap the oldest samples are trimmed — failover
 	// onto a fresh shard then replays a truncated stream (graceful
 	// degradation, counted on cluster_retain_trimmed).
 	DefaultRetainCap = int64(4) << 20 // 32 MiB of cf32 per session
@@ -102,17 +103,15 @@ type Router struct {
 	done chan struct{}
 
 	ringVersion atomic.Uint64
+	parks       *resume.Table[*session]
 
 	mu        sync.Mutex
 	closed    bool
 	nextID    uint64
 	ring      *ring
 	backends  map[string]*backend
-	sessions  map[uint64]*session // attached to a client connection
-	byStation map[string]*session // attached or parked
-	parked    map[string]*parkedEntry
-	listeners map[net.Listener]struct{}
-	connWG    sync.WaitGroup
+	byStation map[string]*session // routed sessions, attached or parked
+	lns       server.Listeners
 
 	intakeWG    sync.WaitGroup
 	intakeMu    sync.Mutex
@@ -138,14 +137,6 @@ type wmState struct {
 // drained shard stay suppressed; past the cap arbitrary retired
 // entries are evicted).
 const maxWatermarks = 1 << 16
-
-// parkedEntry is a routed session between client connections: its
-// upstream connection and retention stay live until a RESUME reclaims
-// it or the park timer drains it.
-type parkedEntry struct {
-	s     *session
-	timer *time.Timer
-}
 
 // New builds a Router from cfg (see Config for defaults). Health
 // probers and record intakes start immediately; call Shutdown to stop
@@ -194,13 +185,13 @@ func New(cfg Config) *Router {
 		log:         cfg.Log,
 		done:        make(chan struct{}),
 		backends:    map[string]*backend{},
-		sessions:    map[uint64]*session{},
 		byStation:   map[string]*session{},
-		parked:      map[string]*parkedEntry{},
-		listeners:   map[net.Listener]struct{}{},
 		intakeConns: map[net.Conn]struct{}{},
 		wms:         map[string]*wmState{},
 	}
+	// A parked session keeps its upstream connection and retention live
+	// until a RESUME reclaims it or the park timer drains it.
+	r.parks = resume.NewTable(cfg.ParkTimeout, r.m.SessionsParked, r.drainAndFinish)
 	for _, spec := range cfg.Backends {
 		r.addBackendLocked(spec)
 	}
@@ -257,8 +248,9 @@ func (r *Router) rebuildRingLocked() {
 }
 
 // AddBackend grows the fleet at runtime. Stations whose ring owner
-// moves onto the new backend migrate lazily: their sessions drain on
-// the old shard and RESUME + replay on the new one at the next frame.
+// moves onto the new backend migrate lazily: at the next frame their
+// sessions abandon the old upstream (which the old shard parks, then
+// drains at park expiry) and RESUME + replay on the new one.
 func (r *Router) AddBackend(spec BackendSpec) error {
 	spec = spec.withDefaults()
 	r.mu.Lock()
@@ -277,7 +269,7 @@ func (r *Router) AddBackend(spec BackendSpec) error {
 
 // RemoveBackend drains a backend out of the fleet: it leaves the ring
 // immediately (no new sessions route to it) and existing sessions
-// migrate off lazily via the same drain → RESUME → replay path.
+// migrate off lazily via the same abandon → RESUME → replay path.
 func (r *Router) RemoveBackend(name string) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -341,71 +333,22 @@ func (r *Router) SessionBackend(station string) string {
 func (r *Router) SessionCount() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return len(r.sessions)
+	return len(r.byStation) - r.parks.Len()
 }
 
 // ParkedCount reports parked routed sessions.
-func (r *Router) ParkedCount() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.parked)
-}
+func (r *Router) ParkedCount() int { return r.parks.Len() }
 
 // Sink returns the router's merged-output fanout.
 func (r *Router) Sink() *server.Fanout { return r.sink }
 
-// register adds a listener unless the router is shut down.
-func (r *Router) register(ln net.Listener) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.closed {
-		return false
-	}
-	r.listeners[ln] = struct{}{}
-	return true
-}
-
 // Serve accepts client ingestion connections on ln until Shutdown
 // closes it (Serve then returns nil) or Accept fails.
-func (r *Router) Serve(ln net.Listener) error {
-	if !r.register(ln) {
-		ln.Close()
-		return errors.New("cluster: router already shut down")
-	}
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			if r.isClosed() {
-				return nil
-			}
-			return err
-		}
-		r.connWG.Add(1)
-		go func() {
-			defer r.connWG.Done()
-			r.handleConn(conn)
-		}()
-	}
-}
+func (r *Router) Serve(ln net.Listener) error { return r.lns.Serve(ln, r.handleConn) }
 
 // ServePub accepts NDJSON subscriber connections on ln and attaches
 // them to the router's merged sink.
-func (r *Router) ServePub(ln net.Listener) error {
-	if !r.register(ln) {
-		ln.Close()
-		return errors.New("cluster: router already shut down")
-	}
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			if r.isClosed() {
-				return nil
-			}
-			return err
-		}
-		r.sink.AddSubscriber(conn)
-	}
-}
+func (r *Router) ServePub(ln net.Listener) error { return r.lns.ServePub(ln, r.sink) }
 
 func (r *Router) isClosed() bool {
 	r.mu.Lock()
@@ -430,7 +373,7 @@ func (r *Router) Ready() error {
 		r.mu.Unlock()
 		return errors.New("draining")
 	}
-	inUse := len(r.sessions) + len(r.parked)
+	inUse := len(r.byStation)
 	limit := r.cfg.MaxSessions
 	backends := make([]*backend, 0, len(r.backends))
 	for _, b := range r.backends {
@@ -459,49 +402,13 @@ func (r *Router) Shutdown(ctx context.Context) error {
 		return nil
 	}
 	r.closed = true
-	for ln := range r.listeners {
-		ln.Close()
-	}
-	attached := make([]*session, 0, len(r.sessions))
-	for _, s := range r.sessions {
-		attached = append(attached, s)
-	}
-	idle := make([]*parkedEntry, 0, len(r.parked))
-	for _, p := range r.parked {
-		p.timer.Stop()
-		idle = append(idle, p)
-	}
-	r.parked = map[string]*parkedEntry{}
 	r.mu.Unlock()
-	r.m.SessionsParked.Set(0)
-
-	// Unblock the attached handlers (their disconnect path drains the
-	// upstream because the router is closed), and drain parked sessions
-	// here — their upstream gateways still hold undecoded samples.
-	for _, s := range attached {
-		s.closeClientConn()
-	}
-	var wg sync.WaitGroup
-	for _, p := range idle {
-		wg.Add(1)
-		go func(s *session) {
-			defer wg.Done()
-			if err := s.drainUpstream(); err != nil {
-				r.warn("shutdown drain failed", "cid", s.cid, "station", s.station, "err", err.Error())
-			}
-			r.finishSession(s)
-		}(p.s)
-	}
-	flushed := make(chan struct{})
-	go func() {
-		wg.Wait()
-		r.connWG.Wait()
-		close(flushed)
-	}()
-	select {
-	case <-flushed:
-	case <-ctx.Done():
-		return ctx.Err()
+	// Drain the parked sessions through the park table first (their
+	// upstream gateways still hold undecoded samples, and no session
+	// parks mid-shutdown), then close the client connections: each
+	// handler's disconnect path drains its upstream.
+	if err := r.lns.Shutdown(ctx, r.parks.Close); err != nil {
+		return err
 	}
 
 	// Give in-flight backend records a moment to reach the intake before

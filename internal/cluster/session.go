@@ -6,10 +6,10 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sync"
 	"sync/atomic"
 	"time"
 
+	"cic/internal/resume"
 	"cic/internal/server"
 )
 
@@ -27,115 +27,26 @@ type session struct {
 	station   string
 	resumable bool
 
-	// conn is the attached client connection (Shutdown closes it to
-	// unblock the handler).
-	connMu sync.Mutex
-	conn   net.Conn
+	// tail retains the session stream from sample 0 as the client's raw
+	// IQ frame bodies: failover replays it onto the replacement shard,
+	// which resumes at offset 0, so backend ACKs never trim it. Past
+	// RetainCap the oldest samples are trimmed (lossy degraded mode,
+	// warned once per session on the first trim).
+	tail       resume.Tail
+	trimWarned bool
 
-	// Retention: the full session stream as raw IQ frame bodies, each
-	// chunk one client frame, chunkStarts its absolute sample offset.
-	// Failover replays chunks[retainStart:] onto the replacement shard;
-	// past RetainCap the oldest chunks are trimmed (lossy degraded mode).
-	chunks      [][]byte
-	chunkStarts []int64
-	retainStart int64
-	ingested    int64
-	retained    int64
-
-	up          *upstream
-	lastBackend string
-	ringVer     uint64
+	up      *upstream
+	ringVer uint64
 
 	// bname mirrors the attached backend name for concurrent readers
 	// (Router.SessionBackend).
 	bname atomic.Value
 }
 
-// upstream is one live connection to a backend shard. The read loop
-// owns the inbound side (ACK/OK/ERROR frames); the session's driving
-// goroutine owns the outbound side.
+// upstream is one live RESUME connection to a backend shard.
 type upstream struct {
-	b    *backend
-	conn net.Conn
-	br   *bufio.Reader
-	bw   *bufio.Writer
-
-	dead atomic.Bool
-	done chan struct{}
-	okCh chan struct{}
-
-	mu   sync.Mutex
-	rerr error               // transport-level reader exit
-	serr *server.ServerError // structured terminal ERROR from the backend
-}
-
-// terminalErr reports a structured terminal ERROR the backend sent
-// (decode failure, drain) — the session's fate, never a failover
-// trigger: replaying the same stream elsewhere would cycle a poison
-// packet through the fleet.
-func (u *upstream) terminalErr() *server.ServerError {
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	return u.serr
-}
-
-// readLoop drains backend→router frames until the connection dies.
-// Terminates when the peer or teardownUpstream closes the connection;
-// teardownUpstream waits on done.
-func (u *upstream) readLoop() {
-	defer func() {
-		u.dead.Store(true)
-		close(u.done)
-	}()
-	for {
-		typ, body, err := server.ReadFrame(u.br)
-		if err != nil {
-			u.mu.Lock()
-			u.rerr = err
-			u.mu.Unlock()
-			return
-		}
-		switch typ {
-		case server.FrameAck:
-			// Informational: the router's retention is the replay source
-			// of truth (a replacement shard resumes at offset 0, so the
-			// backend's ack high-water mark must not trim it).
-		case server.FrameOK:
-			select {
-			case u.okCh <- struct{}{}:
-			default:
-			}
-		case server.FrameError:
-			se, perr := server.ParseErrorBody(body)
-			if perr != nil {
-				se = &server.ServerError{Reason: perr.Error()}
-			}
-			u.mu.Lock()
-			u.serr = se
-			u.mu.Unlock()
-			return
-		default:
-			u.mu.Lock()
-			u.rerr = fmt.Errorf("unexpected upstream frame type 0x%02x", typ)
-			u.mu.Unlock()
-			return
-		}
-	}
-}
-
-func (s *session) setConn(conn net.Conn) {
-	s.connMu.Lock()
-	s.conn = conn
-	s.connMu.Unlock()
-}
-
-func (s *session) closeClientConn() {
-	s.connMu.Lock()
-	c := s.conn
-	s.connMu.Unlock()
-	if c != nil {
-		c.Close()
-	}
+	*server.ResumeConn
+	b *backend
 }
 
 func (s *session) backendName() string {
@@ -146,33 +57,21 @@ func (s *session) backendName() string {
 }
 
 // retain appends one IQ frame body to the replay retention, trimming
-// the oldest chunks past RetainCap. body is owned by the session from
+// the oldest samples past RetainCap. body is owned by the session from
 // here on (ReadFrame allocates a fresh slice per frame).
 func (s *session) retain(body []byte) {
-	n := int64(len(body) / 8)
-	s.chunks = append(s.chunks, body)
-	s.chunkStarts = append(s.chunkStarts, s.ingested)
-	s.ingested += n
-	s.retained += n
-	s.r.m.RetainSamples.Add(n)
-	cap := s.r.cfg.RetainCap
-	if cap <= 0 {
-		return
-	}
-	var trimmed int64
-	for s.retained > cap && len(s.chunks) > 1 {
-		dn := int64(len(s.chunks[0]) / 8)
-		s.chunks = s.chunks[1:]
-		s.chunkStarts = s.chunkStarts[1:]
-		s.retainStart = s.chunkStarts[0]
-		s.retained -= dn
-		trimmed += dn
-	}
-	if trimmed > 0 {
-		s.r.m.RetainTrimmed.Add(trimmed)
-		s.r.m.RetainSamples.Add(-trimmed)
-		s.r.warn("session retention trimmed (failover now lossy)",
-			"cid", s.cid, "station", s.station, "samples", trimmed)
+	s.tail.Append(body)
+	s.r.m.RetainSamples.Add(int64(len(body) / resume.SampleBytes))
+	if limit := s.r.cfg.RetainCap; limit > 0 {
+		if trimmed := s.tail.TrimTo(s.tail.End() - limit); trimmed > 0 {
+			s.r.m.RetainTrimmed.Add(trimmed)
+			s.r.m.RetainSamples.Add(-trimmed)
+			if !s.trimWarned {
+				s.trimWarned = true
+				s.r.warn("session retention trimmed (failover now lossy)",
+					"cid", s.cid, "station", s.station, "samples", trimmed)
+			}
+		}
 	}
 }
 
@@ -180,15 +79,10 @@ func (s *session) retain(body []byte) {
 // transport it reconnects via ensureUpstream, whose replay covers the
 // body — the frame is never written twice to one upstream.
 func (s *session) forward(body []byte) *server.ServerError {
-	if s.up != nil && !s.up.dead.Load() {
-		err := server.WriteFrame(s.up.bw, server.FrameIQ, body)
-		if err == nil {
-			err = s.up.bw.Flush()
-		}
-		if err == nil {
+	if s.up != nil && !s.up.Dead() {
+		if _, err := s.up.Replay([][]byte{body}); err == nil {
 			return nil
 		}
-		s.up.dead.Store(true)
 	}
 	return s.ensureUpstream()
 }
@@ -201,12 +95,12 @@ func (s *session) forward(body []byte) *server.ServerError {
 // (retryable, parkable) when no shard can take it, or the backend's own
 // terminal error propagated verbatim.
 func (s *session) ensureUpstream() *server.ServerError {
-	if s.up != nil && !s.up.dead.Load() {
+	if s.up != nil && !s.up.Dead() {
 		return nil
 	}
 	r := s.r
 	if s.up != nil {
-		if se := s.up.terminalErr(); se != nil {
+		if se := s.up.Verdict(); se != nil {
 			s.teardownUpstream()
 			return se
 		}
@@ -257,59 +151,24 @@ func (s *session) ensureUpstream() *server.ServerError {
 	}
 }
 
-// connectUpstream dials one backend, runs the RESUME handshake and
-// replays the retained stream from the backend's offset. retry reports
-// whether the failure is transport-level (try another shard) as opposed
-// to a verdict to propagate (an overload shed, a structured rejection).
+// connectUpstream dials one backend, runs the RESUME dialog and replays
+// the retained stream from the backend's offset. retry reports whether
+// the failure is transport-level (try another shard) as opposed to a
+// verdict to propagate (an overload shed, a structured rejection).
 func (s *session) connectUpstream(b *backend) (se *server.ServerError, retry bool) {
 	r := s.r
 	ctx, cancel := context.WithTimeout(context.Background(), r.cfg.DialTimeout)
 	conn, err := r.dial(ctx, b.spec.Addr)
 	cancel()
-	if err != nil {
-		b.noteFailure(r.cfg.BreakerBase, r.cfg.BreakerMax)
-		return &server.ServerError{Reason: err.Error()}, true
-	}
-	if r.cfg.WrapUpstream != nil {
-		conn = r.cfg.WrapUpstream(conn)
-	}
-	hb, err := server.EncodeHello(s.hello)
-	if err != nil {
-		conn.Close()
-		return &server.ServerError{Reason: err.Error()}, false
-	}
-	u := &upstream{
-		b:    b,
-		conn: conn,
-		br:   bufio.NewReaderSize(conn, 32<<10),
-		bw:   bufio.NewWriterSize(conn, 64<<10),
-		done: make(chan struct{}),
-		okCh: make(chan struct{}, 1),
-	}
-	fail := func(err error) (*server.ServerError, bool) {
-		conn.Close()
-		b.noteFailure(r.cfg.BreakerBase, r.cfg.BreakerMax)
-		return &server.ServerError{Reason: err.Error()}, true
-	}
-	_ = conn.SetDeadline(time.Now().Add(r.cfg.DialTimeout))
-	if err := server.WriteFrame(u.bw, server.FrameResume, hb); err != nil {
-		return fail(err)
-	}
-	if err := u.bw.Flush(); err != nil {
-		return fail(err)
-	}
-	typ, body, err := server.ReadFrame(u.br)
-	if err != nil {
-		return fail(err)
-	}
-	switch typ {
-	case server.FrameOK:
-	case server.FrameError:
-		conn.Close()
-		se, perr := server.ParseErrorBody(body)
-		if perr != nil {
-			return &server.ServerError{Reason: perr.Error()}, false
+	var rc *server.ResumeConn
+	var off int64
+	if err == nil {
+		if r.cfg.WrapUpstream != nil {
+			conn = r.cfg.WrapUpstream(conn)
 		}
+		rc, off, err = server.OpenResume(conn, s.hello, r.cfg.DialTimeout, nil)
+	}
+	if errors.As(err, &se) {
 		if se.Code == server.ErrCodeOverload {
 			// The shard is shedding. Honor it — spilling the station onto
 			// a shard that does not own it would split its stream.
@@ -319,89 +178,56 @@ func (s *session) connectUpstream(b *backend) (se *server.ServerError, retry boo
 				"retry_after", se.RetryAfter)
 		}
 		return se, false
-	default:
-		return fail(fmt.Errorf("handshake reply frame type 0x%02x", typ))
 	}
-	off, err := server.ParseOffset(body)
 	if err != nil {
-		return fail(err)
+		b.noteFailure(r.cfg.BreakerBase, r.cfg.BreakerMax)
+		return &server.ServerError{Reason: err.Error()}, true
 	}
-	_ = conn.SetDeadline(time.Time{})
 	b.noteSuccess()
-	if err := s.replay(u, off); err != nil {
-		return fail(fmt.Errorf("replay: %w", err))
+	// The router's policy on the backend's offset: a shard ahead of the
+	// retention has nothing to replay, and a gap (the retention cap
+	// trimmed samples this shard needs) replays what survives. The
+	// shard's sample indexing then shifts by the gap, so failover is no
+	// longer byte-identical — counted on cluster_retain_trimmed at trim
+	// time.
+	from := off
+	switch v, _ := s.tail.Reconcile(off); v {
+	case resume.Gap:
+		r.warn("replay truncated by retention cap",
+			"cid", s.cid, "station", s.station, "missing", s.tail.Start()-off)
+		from = s.tail.Start()
+	case resume.FastForward:
+		from = s.tail.End()
 	}
-	go u.readLoop()
-	s.up = u
+	replayed, err := rc.Replay(s.tail.From(from))
+	if err != nil {
+		rc.Close()
+		b.noteFailure(r.cfg.BreakerBase, r.cfg.BreakerMax)
+		return &server.ServerError{Reason: fmt.Sprintf("replay: %v", err)}, true
+	}
+	if replayed > 0 {
+		r.m.ReplayedSamples.Add(replayed)
+		r.info("session replayed",
+			"cid", s.cid, "station", s.station, "backend", b.spec.Name,
+			"from", from, "samples", replayed)
+	}
+	s.up = &upstream{ResumeConn: rc, b: b}
 	b.addSession()
 	s.bname.Store(b.spec.Name)
-	s.lastBackend = b.spec.Name
 	r.info("session routed",
 		"cid", s.cid, "station", s.station, "backend", b.spec.Name,
-		"resume_offset", off, "ingested", s.ingested)
+		"resume_offset", off, "ingested", s.tail.End())
 	return nil, false
 }
 
-// replay rewrites the retained stream onto a fresh upstream from the
-// backend's resume offset, preserving the original frame boundaries.
-func (s *session) replay(u *upstream, off int64) error {
-	from := off
-	if from < s.retainStart {
-		// The retention cap trimmed samples this shard needs: replay what
-		// survives. The shard's sample indexing shifts by the gap, so
-		// failover is no longer byte-identical — counted on
-		// cluster_retain_trimmed at trim time.
-		s.r.warn("replay truncated by retention cap",
-			"cid", s.cid, "station", s.station, "missing", s.retainStart-from)
-		from = s.retainStart
-	}
-	if from >= s.ingested {
-		return nil
-	}
-	var replayed int64
-	for i, start := range s.chunkStarts {
-		chunk := s.chunks[i]
-		if start+int64(len(chunk)/8) <= from {
-			continue
-		}
-		body := chunk
-		if start < from {
-			body = chunk[(from-start)*8:]
-		}
-		if err := server.WriteFrame(u.bw, server.FrameIQ, body); err != nil {
-			return err
-		}
-		replayed += int64(len(body) / 8)
-	}
-	if err := u.bw.Flush(); err != nil {
-		return err
-	}
-	if replayed > 0 {
-		s.r.m.ReplayedSamples.Add(replayed)
-		s.r.info("session replayed",
-			"cid", s.cid, "station", s.station, "backend", u.b.spec.Name,
-			"from", from, "samples", replayed)
-	}
-	return nil
-}
-
-// teardownUpstream closes the upstream transport, waits the read loop
-// out and releases the backend's session slot.
+// teardownUpstream closes the upstream transport, waits the reader out
+// and releases the backend's session slot.
 func (s *session) teardownUpstream() {
-	u := s.up
-	if u == nil {
-		return
+	if u := s.up; u != nil {
+		s.up = nil
+		u.Close()
+		u.b.dropSession()
 	}
-	s.up = nil
-	u.conn.Close()
-	select {
-	case <-u.done:
-	default:
-		// The read loop only runs once the connect handshake finished;
-		// conn.Close above forces its exit.
-		<-u.done
-	}
-	u.b.dropSession()
 }
 
 // drainUpstream runs the CLOSE handshake so the shard decodes and
@@ -428,40 +254,19 @@ func (s *session) drainUpstream() error {
 			}
 			return se
 		}
-		u := s.up
-		err := server.WriteFrame(u.bw, server.FrameClose, nil)
-		if err == nil {
-			err = u.bw.Flush()
-		}
-		if err == nil {
-			timer := time.NewTimer(time.Until(deadline))
-			select {
-			case <-u.okCh:
-				timer.Stop()
-				s.teardownUpstream()
-				return nil
-			case <-u.done:
-				timer.Stop()
-				// The backend may have delivered the OK and then closed on
-				// us; prefer the OK.
-				select {
-				case <-u.okCh:
-					s.teardownUpstream()
-					return nil
-				default:
-				}
-				if se := u.terminalErr(); se != nil && !se.Temporary() {
-					s.teardownUpstream()
-					return se
-				}
-			case <-timer.C:
-				s.teardownUpstream()
-				return fmt.Errorf("drain timed out after %v", r.cfg.CloseTimeout)
-			}
+		err := s.up.Drain(deadline)
+		s.teardownUpstream()
+		var se *server.ServerError
+		switch {
+		case err == nil:
+			return nil
+		case errors.Is(err, server.ErrDrainTimeout):
+			return fmt.Errorf("drain timed out after %v", r.cfg.CloseTimeout)
+		case errors.As(err, &se) && !se.Temporary():
+			return se
 		}
 		// Transport died before the OK: fail over and drain again (the
 		// replay reconstructs the stream on the replacement shard).
-		s.teardownUpstream()
 		if !time.Now().Before(deadline) {
 			return fmt.Errorf("drain timed out after %v", r.cfg.CloseTimeout)
 		}
@@ -476,7 +281,7 @@ func (s *session) drainUpstream() error {
 // when its park window expires — by then the replacement has republished
 // those records and the dedup watermark suppresses the stragglers.
 func (s *session) maybeMigrate() {
-	if s.up == nil || s.up.dead.Load() {
+	if s.up == nil || s.up.Dead() {
 		return
 	}
 	cur := s.up.b
@@ -499,8 +304,7 @@ func (s *session) maybeMigrate() {
 // reject answers a handshake with a structured ERROR frame.
 func (r *Router) reject(conn net.Conn, se *server.ServerError) {
 	r.m.Rejected.Inc()
-	_ = server.WriteFrame(conn, server.FrameError,
-		server.EncodeErrorBody(se.Code, se.RetryAfter, se.Reason))
+	_ = server.WriteError(conn, se)
 	conn.Close()
 }
 
@@ -519,7 +323,7 @@ func (r *Router) admitSession(h server.Hello, resumable bool) (*session, *server
 		return nil, &server.ServerError{
 			Reason: fmt.Sprintf("station %q already has a routed session", h.Station)}
 	}
-	if r.cfg.MaxSessions > 0 && len(r.sessions)+len(r.parked) >= r.cfg.MaxSessions {
+	if r.cfg.MaxSessions > 0 && len(r.byStation) >= r.cfg.MaxSessions {
 		limit := r.cfg.MaxSessions
 		r.mu.Unlock()
 		return nil, &server.ServerError{
@@ -538,13 +342,14 @@ func (r *Router) admitSession(h server.Hello, resumable bool) (*session, *server
 		resumable: resumable,
 	}
 	s.ringVer = r.ringVersion.Load()
-	r.sessions[s.id] = s
 	r.byStation[h.Station] = s
-	active := len(r.sessions)
+	r.setActiveLocked()
 	r.mu.Unlock()
-	r.m.SessionsActive.Set(int64(active))
 	r.m.SessionsTotal.Inc()
 	r.resetWatermark(s)
+	if resumable {
+		r.parks.Attach(h.Station)
+	}
 	return s, nil
 }
 
@@ -555,38 +360,15 @@ func (r *Router) handleConn(conn net.Conn) {
 		conn = r.cfg.WrapConn(conn)
 	}
 	br := bufio.NewReaderSize(conn, 64<<10)
-	idle := r.cfg.IdleTimeout
-	if idle > 0 {
-		_ = conn.SetReadDeadline(time.Now().Add(idle))
-	}
-	typ, body, err := server.ReadFrame(br)
-	if err != nil || (typ != server.FrameHello && typ != server.FrameResume) {
-		if err == nil {
-			err = fmt.Errorf("first frame type 0x%02x, want HELLO or RESUME", typ)
-		}
-		r.reject(conn, &server.ServerError{Reason: fmt.Sprintf("bad handshake: %v", err)})
-		return
-	}
-	h, err := server.ParseHello(body)
+	h, resumable, err := server.ReadHandshake(conn, br, r.cfg.IdleTimeout)
 	if err != nil {
 		r.reject(conn, &server.ServerError{Reason: err.Error()})
 		return
 	}
-	resumable := typ == server.FrameResume
 
 	if resumable {
-		if s := r.awaitParked(h); s != nil {
-			s.setConn(conn)
-			off := s.ingested
-			if err := server.WriteFrame(conn, server.FrameOK, server.EncodeOffset(off)); err != nil {
-				r.parkOrFinish(s, conn, true)
-				return
-			}
-			r.m.ResumesTotal.Inc()
-			r.info("session resumed",
-				"cid", s.cid, "station", s.station,
-				"remote", conn.RemoteAddr().String(), "offset", off)
-			r.serveSession(s, conn, br)
+		if s, ok := r.parks.Reclaim(h.Station, func(p *session) bool { return p.hello == h }); ok {
+			r.serveSession(s, conn, br, true)
 			return
 		}
 	}
@@ -601,44 +383,50 @@ func (r *Router) handleConn(conn net.Conn) {
 		r.reject(conn, se)
 		return
 	}
-	s.setConn(conn)
 	// Route upstream before the OK so a backend's handshake verdict (an
 	// overload shed in particular) propagates into the client handshake.
 	if se := s.ensureUpstream(); se != nil {
 		r.warn("session rejected by fleet", "cid", s.cid, "station", h.Station,
 			"reason", se.Reason)
 		r.reject(conn, se)
-		r.finishSession(s)
+		r.leave(s, conn, false)
 		return
 	}
-	var okBody []byte
-	if resumable {
-		okBody = server.EncodeOffset(0)
-	}
-	if err := server.WriteFrame(conn, server.FrameOK, okBody); err != nil {
-		r.parkOrFinish(s, conn, resumable)
-		return
-	}
-	r.info("session accepted",
-		"cid", s.cid, "station", h.Station, "remote", conn.RemoteAddr().String(),
-		"backend", s.backendName(), "resumable", resumable)
-	r.serveSession(s, conn, br)
+	r.serveSession(s, conn, br, false)
 }
 
-// serveSession runs the proxy frame loop for an attached session and
-// tears it down: parked when a resumable connection dies abnormally (or
-// its fleet verdict is retryable), drained otherwise.
-func (r *Router) serveSession(s *session, conn net.Conn, br *bufio.Reader) {
+// serveSession answers the handshake and runs the proxy frame loop for
+// an admitted (or, when resumed, reclaimed) session, then tears it
+// down: parked when a resumable connection dies abnormally (or its
+// fleet verdict is retryable), drained otherwise.
+func (r *Router) serveSession(s *session, conn net.Conn, br *bufio.Reader, resumed bool) {
 	idle := r.cfg.IdleTimeout
-	park := false
+	// A resumable session whose OK cannot be written parks.
+	park := s.resumable
 	defer func() {
 		if v := recover(); v != nil {
 			r.warn("cluster session handler panic",
 				"cid", s.cid, "station", s.station, "panic", fmt.Sprint(v))
 			park = false
 		}
-		r.parkOrFinish(s, conn, park)
+		r.leave(s, conn, park)
 	}()
+	if resumed {
+		r.refreshActive()
+		r.m.ResumesTotal.Inc() // before the OK, so a client that saw it sees the count
+	}
+	if err := server.WriteAccept(conn, s.resumable, s.tail.End()); err != nil {
+		return
+	}
+	park = false
+	if resumed {
+		r.info("session resumed", "cid", s.cid, "station", s.station,
+			"remote", conn.RemoteAddr().String(), "offset", s.tail.End())
+	} else {
+		r.info("session accepted",
+			"cid", s.cid, "station", s.station, "remote", conn.RemoteAddr().String(),
+			"backend", s.backendName(), "resumable", s.resumable)
+	}
 	for {
 		if idle > 0 {
 			_ = conn.SetReadDeadline(time.Now().Add(idle))
@@ -658,9 +446,8 @@ func (r *Router) serveSession(s *session, conn net.Conn, br *bufio.Reader) {
 		switch typ {
 		case server.FrameIQ:
 			if len(body) == 0 || len(body)%8 != 0 {
-				_ = server.WriteFrame(conn, server.FrameError,
-					server.EncodeErrorBody(server.ErrCodeGeneric, 0,
-						fmt.Sprintf("IQ body length %d not a positive multiple of 8", len(body))))
+				_ = server.WriteError(conn, &server.ServerError{
+					Reason: fmt.Sprintf("IQ body length %d not a positive multiple of 8", len(body))})
 				return
 			}
 			if v := r.ringVersion.Load(); v != s.ringVer {
@@ -669,8 +456,7 @@ func (r *Router) serveSession(s *session, conn net.Conn, br *bufio.Reader) {
 			}
 			s.retain(body)
 			if se := s.forward(body); se != nil {
-				_ = server.WriteFrame(conn, server.FrameError,
-					server.EncodeErrorBody(se.Code, se.RetryAfter, se.Reason))
+				_ = server.WriteError(conn, se)
 				// A retryable fleet verdict (overload, no shard available)
 				// parks the session: retention survives, so the client's
 				// RESUME continues with nothing lost. A terminal backend
@@ -679,7 +465,7 @@ func (r *Router) serveSession(s *session, conn net.Conn, br *bufio.Reader) {
 				return
 			}
 			if s.resumable {
-				if err := server.WriteFrame(conn, server.FrameAck, server.EncodeOffset(s.ingested)); err != nil {
+				if err := server.WriteFrame(conn, server.FrameAck, server.EncodeOffset(s.tail.End())); err != nil {
 					r.info("session ack write failed",
 						"cid", s.cid, "station", s.station, "err", err.Error())
 					park = true
@@ -699,8 +485,7 @@ func (r *Router) serveSession(s *session, conn net.Conn, br *bufio.Reader) {
 				if !errors.As(err, &se) {
 					se = &server.ServerError{Reason: err.Error()}
 				}
-				_ = server.WriteFrame(conn, server.FrameError,
-					server.EncodeErrorBody(se.Code, se.RetryAfter, se.Reason))
+				_ = server.WriteError(conn, se)
 				park = s.resumable && se.Temporary()
 				return
 			}
@@ -708,128 +493,58 @@ func (r *Router) serveSession(s *session, conn net.Conn, br *bufio.Reader) {
 			r.info("session closed", "cid", s.cid, "station", s.station)
 			return
 		default:
-			_ = server.WriteFrame(conn, server.FrameError,
-				server.EncodeErrorBody(server.ErrCodeGeneric, 0,
-					fmt.Sprintf("unexpected frame type 0x%02x", typ)))
+			_ = server.WriteError(conn, &server.ServerError{
+				Reason: fmt.Sprintf("unexpected frame type 0x%02x", typ)})
 			return
 		}
 	}
 }
 
-// awaitParked reclaims the station's parked session, briefly waiting
-// out an in-flight park when the previous connection is still tearing
-// down (mirrors the daemon's resume grace).
-func (r *Router) awaitParked(h server.Hello) *session {
-	if s := r.resumeParked(h); s != nil {
-		return s
-	}
-	deadline := time.Now().Add(3 * time.Second)
-	for r.hasActiveStation(h) && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-		if s := r.resumeParked(h); s != nil {
-			return s
-		}
-	}
-	return nil
+// setActiveLocked refreshes cluster_sessions_active: the routed
+// sessions not parked. Caller holds r.mu.
+func (r *Router) setActiveLocked() {
+	r.m.SessionsActive.Set(int64(len(r.byStation) - r.parks.Len()))
 }
 
-// hasActiveStation reports whether a resumable routed session for the
-// station is still attached to a client connection.
-func (r *Router) hasActiveStation(h server.Hello) bool {
+// refreshActive is setActiveLocked after a park or reclaim.
+func (r *Router) refreshActive() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	s := r.byStation[h.Station]
-	return s != nil && s.resumable && r.sessions[s.id] == s
+	r.setActiveLocked()
 }
 
-// resumeParked reclaims the station's parked session, nil when there is
-// nothing to reclaim (no parked session, a different stream config, the
-// park timer already fired, or the router is draining). Timer.Stop is
-// the arbiter against a concurrently firing expiry.
-func (r *Router) resumeParked(h server.Hello) *session {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.closed {
-		return nil
-	}
-	p := r.parked[h.Station]
-	if p == nil || p.s.hello != h {
-		return nil
-	}
-	if !p.timer.Stop() {
-		return nil
-	}
-	delete(r.parked, h.Station)
-	r.sessions[p.s.id] = p.s
-	r.m.SessionsParked.Set(int64(len(r.parked)))
-	r.m.SessionsActive.Set(int64(len(r.sessions)))
-	return p.s
-}
-
-// parkOrFinish tears a session down after its client connection ends:
-// a resumable session parks for the resume window; anything else drains
-// the upstream gracefully (so the shard publishes its buffered packets)
-// and finishes.
-func (r *Router) parkOrFinish(s *session, conn net.Conn, park bool) {
-	if park && r.parkSession(s) {
-		conn.Close()
-		r.info("session parked",
-			"cid", s.cid, "station", s.station, "resume_window", r.cfg.ParkTimeout)
+// leave ends a session's client connection: with park set a resumable
+// session parks for the resume window, its upstream connection still
+// live so a prompt RESUME continues with zero replay; anything else
+// drains the upstream gracefully (so the shard publishes its buffered
+// packets) and finishes.
+func (r *Router) leave(s *session, conn net.Conn, park bool) {
+	parked := s.resumable && r.parks.Leave(s.station, s, park)
+	conn.Close()
+	if !parked {
+		r.drainAndFinish(s, false)
 		return
+	}
+	r.refreshActive()
+	r.info("session parked",
+		"cid", s.cid, "station", s.station, "resume_window", r.cfg.ParkTimeout)
+}
+
+// drainAndFinish drains a detached session's upstream and finishes it:
+// the park table's release for a session whose resume window elapsed
+// (expired) or that Shutdown took, and leave's for one that did not
+// park.
+func (r *Router) drainAndFinish(s *session, expired bool) {
+	if expired {
+		r.info("session resume window expired", "cid", s.cid, "station", s.station)
 	}
 	if s.up != nil {
 		if err := s.drainUpstream(); err != nil {
 			r.warn("session final drain failed",
-				"cid", s.cid, "station", s.station, "err", err.Error())
+				"cid", s.cid, "station", s.station, "expired", expired, "err", err.Error())
 		}
 	}
-	conn.Close()
 	r.finishSession(s)
-}
-
-// parkSession moves an attached session into the parked map and starts
-// its expiry timer. The upstream connection stays live so a prompt
-// RESUME continues with zero replay.
-func (r *Router) parkSession(s *session) bool {
-	if r.cfg.ParkTimeout <= 0 {
-		return false
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.closed {
-		return false
-	}
-	if _, dup := r.parked[s.station]; dup {
-		return false
-	}
-	delete(r.sessions, s.id)
-	p := &parkedEntry{s: s}
-	p.timer = time.AfterFunc(r.cfg.ParkTimeout, func() { r.expirePark(s.station, p) })
-	r.parked[s.station] = p
-	r.m.SessionsActive.Set(int64(len(r.sessions)))
-	r.m.SessionsParked.Set(int64(len(r.parked)))
-	return true
-}
-
-// expirePark drains a parked session whose resume window elapsed.
-func (r *Router) expirePark(station string, p *parkedEntry) {
-	r.mu.Lock()
-	if r.parked[station] != p {
-		r.mu.Unlock()
-		return
-	}
-	delete(r.parked, station)
-	parked := len(r.parked)
-	r.mu.Unlock()
-	r.m.SessionsParked.Set(int64(parked))
-	r.info("session resume window expired", "cid", p.s.cid, "station", station)
-	if p.s.up != nil {
-		if err := p.s.drainUpstream(); err != nil {
-			r.warn("session expiry drain failed",
-				"cid", p.s.cid, "station", station, "err", err.Error())
-		}
-	}
-	r.finishSession(p.s)
 }
 
 // finishSession unlinks a session and releases its retention. The
@@ -840,16 +555,12 @@ func (r *Router) finishSession(s *session) {
 		s.teardownUpstream()
 	}
 	r.mu.Lock()
-	delete(r.sessions, s.id)
 	if r.byStation[s.station] == s {
 		delete(r.byStation, s.station)
 	}
-	active := len(r.sessions)
+	r.setActiveLocked()
 	r.mu.Unlock()
-	r.m.SessionsActive.Set(int64(active))
-	if s.retained > 0 {
-		r.m.RetainSamples.Add(-s.retained)
-	}
-	s.chunks, s.chunkStarts, s.retained = nil, nil, 0
+	r.m.RetainSamples.Add(-s.tail.Len())
+	s.tail = resume.Tail{}
 	r.retireWatermark(s)
 }

@@ -38,6 +38,7 @@ var goroutinePkgs = map[string]bool{
 	"cic":        true,
 	"experiment": true,
 	"main":       true,
+	"resume":     true,
 }
 
 const leakOKMarker = "//cic:leak-ok"

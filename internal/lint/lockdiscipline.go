@@ -36,6 +36,7 @@ var lockPkgs = map[string]bool{
 	"cic":        true,
 	"obs":        true,
 	"experiment": true,
+	"resume":     true,
 }
 
 const lockOKMarker = "//cic:lock-ok"

@@ -70,17 +70,8 @@ func NewClient(conn net.Conn) *Client {
 // Hello performs the handshake and waits for the server's verdict. On
 // an ERROR reply the returned error carries the server's reason.
 func (c *Client) Hello(station string, cfg cic.Config) error {
-	body, err := EncodeHello(HelloFor(station, cfg))
-	if err != nil {
-		return err
-	}
-	if err := WriteFrame(c.bw, FrameHello, body); err != nil {
-		return err
-	}
-	if err := c.bw.Flush(); err != nil {
-		return err
-	}
-	return c.awaitOK("hello")
+	_, err := handshake(c.bw, c.br, FrameHello, HelloFor(station, cfg))
+	return err
 }
 
 // Resume performs the resumable handshake (protocol v2): the server
@@ -89,40 +80,42 @@ func (c *Client) Hello(station string, cfg cic.Config) error {
 // ingested — the client must replay its stream from that offset. On a
 // resumable session the server acknowledges every IQ frame with an ACK
 // carrying the updated offset (see ReconnectingClient, which consumes
-// them; a synchronous caller may ignore them — awaitOK skips ACKs).
+// them; a synchronous caller may ignore them — awaitReply skips ACKs).
 func (c *Client) Resume(station string, cfg cic.Config) (int64, error) {
-	body, err := EncodeHello(HelloFor(station, cfg))
-	if err != nil {
-		return 0, err
-	}
-	if err := WriteFrame(c.bw, FrameResume, body); err != nil {
-		return 0, err
-	}
-	if err := c.bw.Flush(); err != nil {
-		return 0, err
-	}
-	reply, err := c.awaitReply("resume")
+	reply, err := handshake(c.bw, c.br, FrameResume, HelloFor(station, cfg))
 	if err != nil {
 		return 0, err
 	}
 	return ParseOffset(reply)
 }
 
-// awaitOK reads server reply frames until an OK (skipping interleaved
-// ACKs), mapping ERROR to an error.
-func (c *Client) awaitOK(stage string) error {
-	_, err := c.awaitReply(stage)
-	return err
+// handshake sends the opening HELLO or RESUME frame for h and returns
+// the body of the server's OK reply.
+func handshake(bw *bufio.Writer, br *bufio.Reader, typ byte, h Hello) ([]byte, error) {
+	body, err := EncodeHello(h)
+	if err != nil {
+		return nil, err
+	}
+	if err := WriteFrame(bw, typ, body); err != nil {
+		return nil, err
+	}
+	if err := bw.Flush(); err != nil {
+		return nil, err
+	}
+	stage := "hello"
+	if typ == FrameResume {
+		stage = "resume"
+	}
+	return awaitReply(br, stage)
 }
 
 // awaitReply returns the next OK frame's body, skipping ACK frames (a
 // resumable session acknowledges each IQ frame, so ACKs may be queued
 // ahead of the reply a synchronous caller is waiting for). An ERROR
-// frame maps to *ServerError when its body parses as the structured v2
-// layout, the raw reason string otherwise.
-func (c *Client) awaitReply(stage string) ([]byte, error) {
+// frame maps to a *ServerError in the error chain.
+func awaitReply(br *bufio.Reader, stage string) ([]byte, error) {
 	for {
-		typ, body, err := ReadFrame(c.br)
+		typ, body, err := ReadFrame(br)
 		if err != nil {
 			return nil, fmt.Errorf("server: %s: reading reply: %w", stage, err)
 		}
@@ -132,14 +125,21 @@ func (c *Client) awaitReply(stage string) ([]byte, error) {
 		case FrameAck:
 			continue
 		case FrameError:
-			if se, perr := ParseErrorBody(body); perr == nil {
-				return nil, fmt.Errorf("server: %s rejected: %w", stage, se)
-			}
-			return nil, fmt.Errorf("server: %s rejected: %s", stage, body)
+			return nil, fmt.Errorf("server: %s rejected: %w", stage, parseServerError(body))
 		default:
 			return nil, fmt.Errorf("server: %s: unexpected reply frame 0x%02x", stage, typ)
 		}
 	}
+}
+
+// parseServerError decodes an ERROR body, keeping an unstructured (v1)
+// body as a terminal error's reason.
+func parseServerError(body []byte) *ServerError {
+	se, err := ParseErrorBody(body)
+	if err != nil {
+		return &ServerError{Reason: string(body)}
+	}
+	return se
 }
 
 // WriteIQ streams samples to the session, splitting into IQ frames of
@@ -201,7 +201,7 @@ func (c *Client) Close() error {
 		err = c.bw.Flush()
 	}
 	if err == nil {
-		err = c.awaitOK("close")
+		_, err = awaitReply(c.br, "close")
 	}
 	if cerr := c.conn.Close(); err == nil {
 		err = cerr

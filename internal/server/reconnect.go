@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"cic"
+	"cic/internal/resume"
 )
 
 // Reconnect defaults.
@@ -19,13 +20,6 @@ const (
 	DefaultMaxBackoff   = 5 * time.Second
 	DefaultCloseTimeout = 60 * time.Second
 )
-
-// ErrResumeGap reports that the server's resume offset fell behind the
-// client's retain window: samples the server never ingested were
-// already discarded locally, so a gap-free resume is impossible (the
-// parked session expired, or the server restarted). The stream must be
-// restarted from scratch.
-var ErrResumeGap = errors.New("server: resume offset behind retained data")
 
 // ReconnectOptions parameterises a ReconnectingClient. Station, Config
 // and either Addr or Dial are required.
@@ -79,24 +73,13 @@ type ReconnectingClient struct {
 	o   ReconnectOptions
 	rng *rand.Rand
 
-	cur *rcConn // nil when disconnected
+	cur *ResumeConn // nil when disconnected
 
-	mu          sync.Mutex
-	retain      []complex128 // samples in [retainStart, sent), oldest first
-	retainStart int64        // absolute sample offset of retain[0]
-	sent        int64        // absolute samples handed to WriteIQ (+ fast-forward)
-	acked       int64        // highest server-acknowledged offset
-	reconnects  int64        // successful RESUME handshakes after the first
-	closed      bool
-}
-
-// rcConn is one live connection: the Client plus its reader goroutine.
-type rcConn struct {
-	cli  *Client
-	raw  net.Conn
-	done chan struct{} // closed when the reader exits
-	okCh chan struct{} // one token per OK frame (the CLOSE drain ack)
-	err  error         // reader's terminal error; read only after done
+	mu         sync.Mutex
+	tail       resume.Tail // unacknowledged frame bodies; End() is the stream position
+	acked      int64       // highest server-acknowledged offset
+	reconnects int64       // successful RESUME handshakes after the first
+	closed     bool
 }
 
 // NewReconnectingClient builds the client; no connection is made until
@@ -160,7 +143,7 @@ func (r *ReconnectingClient) Connect() (int64, error) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.retainStart, nil
+	return r.tail.Start(), nil
 }
 
 // ResumeOffset reports the absolute sample offset the next written
@@ -169,7 +152,7 @@ func (r *ReconnectingClient) Connect() (int64, error) {
 func (r *ReconnectingClient) ResumeOffset() int64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.sent
+	return r.tail.End()
 }
 
 // Reconnects counts successful RESUME handshakes after the initial
@@ -193,19 +176,17 @@ func (r *ReconnectingClient) Acked() int64 {
 // a later RESUME by a new client) can still pick the stream up.
 func (r *ReconnectingClient) Abort() error {
 	r.markClosed()
-	if c := r.cur; c != nil {
-		c.raw.Close()
-		<-c.done
-		r.cur = nil
+	if r.cur != nil {
+		r.dropConn(r.cur)
 	}
 	return nil
 }
 
 // connect dials until a RESUME handshake succeeds (bounded by
-// MaxAttempts consecutive failures), replays the unacknowledged tail,
-// and starts the ACK reader. A non-temporary server rejection (bad
-// configuration) fails immediately; overload rejections honour the
-// server's retry-after hint.
+// MaxAttempts consecutive failures) and replays the unacknowledged
+// tail. A non-temporary server rejection (bad configuration) fails
+// immediately; overload rejections honour the server's retry-after
+// hint.
 func (r *ReconnectingClient) connect() error {
 	if r.cur != nil {
 		return nil
@@ -214,7 +195,6 @@ func (r *ReconnectingClient) connect() error {
 	for attempt := 0; ; attempt++ {
 		r.mu.Lock()
 		closed := r.closed
-		first := r.sent == 0 && r.reconnects == 0
 		r.mu.Unlock()
 		if closed {
 			return net.ErrClosed
@@ -222,7 +202,7 @@ func (r *ReconnectingClient) connect() error {
 		if err := r.ctx().Err(); err != nil {
 			return fmt.Errorf("server: reconnect aborted: %w", err)
 		}
-		err := r.tryConnect(first)
+		err := r.tryConnect()
 		if err == nil {
 			return nil
 		}
@@ -256,121 +236,70 @@ func (r *ReconnectingClient) connect() error {
 	}
 }
 
-// tryConnect performs one dial + RESUME + replay cycle.
-func (r *ReconnectingClient) tryConnect(first bool) error {
+// tryConnect performs one dial + RESUME + replay cycle. The client's
+// policy on the server's offset: a gap is fatal, a server ahead of the
+// stream fast-forwards it, anything else trims to the offset and
+// replays the rest.
+func (r *ReconnectingClient) tryConnect() error {
 	conn, err := r.dial()
 	if err != nil {
 		return err
 	}
-	cli := NewClient(conn)
-	off, err := cli.Resume(r.o.Station, r.o.Config)
+	c, off, err := OpenResume(conn, HelloFor(r.o.Station, r.o.Config), r.o.DialTimeout, r.noteAck)
 	if err != nil {
-		conn.Close()
 		return err
 	}
 
 	r.mu.Lock()
-	switch {
-	case off < r.retainStart:
+	first := r.tail.End() == 0 && r.reconnects == 0
+	switch v, err := r.tail.Reconcile(off); v {
+	case resume.Gap:
 		r.mu.Unlock()
-		conn.Close()
-		return fmt.Errorf("%w (server at %d, retained from %d)", ErrResumeGap, off, r.retainStart)
-	case off > r.sent:
+		c.Close()
+		return err
+	case resume.FastForward:
 		// The server is ahead of this process's stream position — a
-		// restarted client resuming a parked session. Fast-forward; the
-		// caller skips the input via Connect's offset.
-		r.retain = r.retain[:0]
-		r.retainStart, r.sent, r.acked = off, off, off
+		// restarted client resuming a parked session. The caller skips
+		// the input via Connect's offset.
+		r.tail.Reset(off)
 	default:
-		r.retain = r.retain[off-r.retainStart:]
-		r.retainStart = off
-		if off > r.acked {
-			r.acked = off
-		}
+		r.tail.TrimTo(off)
 	}
-	replay := append([]complex128(nil), r.retain...)
+	r.acked = max(r.acked, off)
+	replay := r.tail.From(off)
 	if !first {
 		r.reconnects++
 	}
 	r.mu.Unlock()
 
-	c := &rcConn{
-		cli:  cli,
-		raw:  conn,
-		done: make(chan struct{}),
-		okCh: make(chan struct{}, 1),
-	}
-	go r.readLoop(c)
-	if len(replay) > 0 {
-		r.logf("resumed at offset %d, replaying %d samples", off, len(replay))
-		if err := cli.WriteIQ(replay); err != nil {
-			r.dropConn(c)
-			return fmt.Errorf("server: replay after resume: %w", err)
-		}
-	} else if !first {
+	n, err := c.Replay(replay)
+	switch {
+	case err != nil:
+		c.Close()
+		return fmt.Errorf("server: replay after resume: %w", err)
+	case n > 0:
+		r.logf("resumed at offset %d, replaying %d samples", off, n)
+	case !first:
 		r.logf("resumed at offset %d (nothing to replay)", off)
 	}
 	r.cur = c
 	return nil
 }
 
-// readLoop consumes server frames on one connection: ACKs trim the
-// retain buffer, OK signals the CLOSE drain acknowledgement, ERROR or
-// a transport error ends the loop.
-func (r *ReconnectingClient) readLoop(c *rcConn) {
-	defer close(c.done)
-	for {
-		typ, body, err := ReadFrame(c.cli.br)
-		if err != nil {
-			c.err = err
-			return
-		}
-		switch typ {
-		case FrameAck:
-			off, err := ParseOffset(body)
-			if err != nil {
-				c.err = err
-				return
-			}
-			r.noteAck(off)
-		case FrameOK:
-			select {
-			case c.okCh <- struct{}{}:
-			default:
-			}
-		case FrameError:
-			if se, perr := ParseErrorBody(body); perr == nil {
-				c.err = se
-			} else {
-				c.err = fmt.Errorf("server error: %s", body)
-			}
-			return
-		default:
-			c.err = fmt.Errorf("unexpected server frame 0x%02x", typ)
-			return
-		}
-	}
-}
-
-// noteAck advances the acknowledged offset, releasing retained samples
-// the server has durably ingested.
+// noteAck is the client's trim policy: an acknowledged offset releases
+// every retained sample before it.
 func (r *ReconnectingClient) noteAck(off int64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if off <= r.acked {
-		return
-	}
-	r.acked = off
-	if drop := off - r.retainStart; drop > 0 && drop <= int64(len(r.retain)) {
-		r.retain = r.retain[drop:]
-		r.retainStart = off
+	if off > r.acked {
+		r.acked = off
+		r.tail.TrimTo(off)
 	}
 }
 
 // dropConn closes a dead connection and waits for its reader.
-func (r *ReconnectingClient) dropConn(c *rcConn) {
-	c.raw.Close()
-	<-c.done
+func (r *ReconnectingClient) dropConn(c *ResumeConn) {
+	c.Close()
 	if r.cur == c {
 		r.cur = nil
 	}
@@ -379,27 +308,29 @@ func (r *ReconnectingClient) dropConn(c *rcConn) {
 // WriteIQ streams samples, transparently reconnecting and replaying the
 // unacknowledged tail on any transport failure.
 func (r *ReconnectingClient) WriteIQ(iq []complex128) error {
+	bodies := make([][]byte, 0, 1+len(iq)/MaxIQSamples)
+	for len(iq) > 0 {
+		n := min(len(iq), MaxIQSamples)
+		bodies = append(bodies, AppendIQBody(make([]byte, 0, 8*n), iq[:n]))
+		iq = iq[n:]
+	}
 	r.mu.Lock()
 	if r.closed {
 		r.mu.Unlock()
 		return net.ErrClosed
 	}
-	r.retain = append(r.retain, iq...)
-	r.sent += int64(len(iq))
+	for _, b := range bodies {
+		r.tail.Append(b)
+	}
 	r.mu.Unlock()
-	for {
-		if r.cur == nil {
-			// connect replays the whole retained tail, which includes iq.
-			if err := r.connect(); err != nil {
-				return err
-			}
-			return nil
-		}
-		if err := r.cur.cli.WriteIQ(iq); err == nil {
+	for r.cur != nil {
+		if _, err := r.cur.Replay(bodies); err == nil {
 			return nil
 		}
 		r.dropConn(r.cur)
 	}
+	// connect replays the whole retained tail, which includes bodies.
+	return r.connect()
 }
 
 // Close ends the stream: CLOSE, drain acknowledgement, disconnect —
@@ -412,8 +343,7 @@ func (r *ReconnectingClient) Close() error {
 		return nil
 	}
 	r.mu.Unlock()
-	deadline := time.NewTimer(r.o.CloseTimeout)
-	defer deadline.Stop()
+	deadline := time.Now().Add(r.o.CloseTimeout)
 	for {
 		if r.cur == nil {
 			if err := r.connect(); err != nil {
@@ -422,30 +352,18 @@ func (r *ReconnectingClient) Close() error {
 			}
 		}
 		c := r.cur
-		err := WriteFrame(c.cli.bw, FrameClose, nil)
-		if err == nil {
-			err = c.cli.bw.Flush()
-		}
-		if err != nil {
-			r.dropConn(c)
-			continue
-		}
-		select {
-		case <-c.okCh:
+		err := c.Drain(deadline)
+		if err == nil || errors.Is(err, ErrDrainTimeout) {
 			r.markClosed()
-			c.raw.Close()
-			<-c.done
-			r.cur = nil
+			r.dropConn(c)
+			if err != nil {
+				return fmt.Errorf("server: close: no drain acknowledgement within %v", r.o.CloseTimeout)
+			}
 			return nil
-		case <-c.done:
-			// Connection died before the drain ack; resume and retry.
-			r.logf("close interrupted (%v); retrying", c.err)
-			r.dropConn(c)
-		case <-deadline.C:
-			r.markClosed()
-			r.dropConn(c)
-			return fmt.Errorf("server: close: no drain acknowledgement within %v", r.o.CloseTimeout)
 		}
+		// Connection died before the drain ack; resume and retry.
+		r.logf("close interrupted (%v); retrying", err)
+		r.dropConn(c)
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 
 	"cic"
 	"cic/internal/obs"
+	"cic/internal/resume"
 )
 
 // Defaults for Config zero values.
@@ -122,31 +123,25 @@ type Server struct {
 	sink *Fanout
 	log  *slog.Logger // resolved from Config.Log / Config.Logf (nil = silent)
 
-	mu        sync.Mutex
-	closed    bool
-	nextID    uint64
-	memInUse  int64
-	sessions  map[uint64]*activeSession
-	parked    map[string]*parkedSession
-	listeners map[net.Listener]struct{}
-	connWG    sync.WaitGroup
+	parks *resume.Table[*slot]
+
+	mu       sync.Mutex
+	closed   bool
+	nextID   uint64
+	admitted int   // sessions holding an admission reservation, parked included
+	memInUse int64 // their summed reservations
+	attached int   // sessions attached to a connection
+	lns      Listeners
 }
 
-// activeSession pairs a session with its connection so Shutdown can
-// flush the gateway and then unblock the connection's reader.
-type activeSession struct {
-	sess *Session
-	conn net.Conn
-}
-
-// parkedSession is a resumable session between connections: its gateway
-// (and memory reservation) stays live until a RESUME reclaims it or the
-// park timer drains it.
-type parkedSession struct {
+// slot is an admitted session with its admission reservation and
+// handshake: what the park table holds between connections, its
+// gateway still live, until a RESUME reclaims it or the park timer
+// drains it.
+type slot struct {
 	sess  *Session
 	est   int64
 	hello Hello
-	timer *time.Timer
 }
 
 // New builds a Server from cfg (see Config for zero-value defaults).
@@ -176,14 +171,12 @@ func New(cfg Config) *Server {
 		cfg.Sink = NewFanout()
 	}
 	s := &Server{
-		cfg:       cfg,
-		m:         newServerMetrics(cfg.Metrics, cfg.MaxStationSeries),
-		sink:      cfg.Sink,
-		log:       cfg.Log,
-		sessions:  map[uint64]*activeSession{},
-		parked:    map[string]*parkedSession{},
-		listeners: map[net.Listener]struct{}{},
+		cfg:  cfg,
+		m:    newServerMetrics(cfg.Metrics, cfg.MaxStationSeries),
+		sink: cfg.Sink,
+		log:  cfg.Log,
 	}
+	s.parks = resume.NewTable(cfg.ParkTimeout, s.m.SessionsParked, s.finish)
 	if s.log == nil && cfg.Logf != nil {
 		s.log = slog.New(logfHandler{logf: cfg.Logf})
 	}
@@ -229,65 +222,14 @@ func (s *Server) dumpFlight(msg, cid string, args ...any) {
 // Sink returns the server's fanout (for attaching subscribers directly).
 func (s *Server) Sink() *Fanout { return s.sink }
 
-// register adds a listener unless the server is shut down.
-func (s *Server) register(ln net.Listener) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return false
-	}
-	s.listeners[ln] = struct{}{}
-	return true
-}
-
 // Serve accepts ingestion connections on ln until Shutdown closes it
 // (which makes Serve return nil) or Accept fails.
-func (s *Server) Serve(ln net.Listener) error {
-	if !s.register(ln) {
-		ln.Close()
-		return fmt.Errorf("server: already shut down")
-	}
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			if s.isClosed() {
-				return nil
-			}
-			return err
-		}
-		s.connWG.Add(1)
-		go func() {
-			defer s.connWG.Done()
-			s.handleConn(conn)
-		}()
-	}
-}
+func (s *Server) Serve(ln net.Listener) error { return s.lns.Serve(ln, s.handleConn) }
 
 // ServePub accepts subscriber connections on ln and attaches each to
 // the sink; every record published after attachment is streamed to the
 // subscriber as NDJSON. Returns nil once Shutdown closes ln.
-func (s *Server) ServePub(ln net.Listener) error {
-	if !s.register(ln) {
-		ln.Close()
-		return fmt.Errorf("server: already shut down")
-	}
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			if s.isClosed() {
-				return nil
-			}
-			return err
-		}
-		s.sink.AddSubscriber(conn)
-	}
-}
-
-func (s *Server) isClosed() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.closed
-}
+func (s *Server) ServePub(ln net.Listener) error { return s.lns.ServePub(ln, s.sink) }
 
 // retryAfter is the hint for overload rejections (0 when disabled).
 func (s *Server) retryAfter() time.Duration {
@@ -308,12 +250,11 @@ func (s *Server) admit(est int64) *ServerError {
 	if s.closed {
 		return &ServerError{Code: ErrCodeGeneric, Reason: "server draining"}
 	}
-	inUse := len(s.sessions) + len(s.parked)
-	if s.cfg.MaxSessions > 0 && inUse >= s.cfg.MaxSessions {
+	if s.cfg.MaxSessions > 0 && s.admitted >= s.cfg.MaxSessions {
 		return &ServerError{
 			Code:       ErrCodeOverload,
 			RetryAfter: s.retryAfter(),
-			Reason:     fmt.Sprintf("session limit reached (%d active)", inUse),
+			Reason:     fmt.Sprintf("session limit reached (%d active)", s.admitted),
 		}
 	}
 	if s.cfg.MemoryBudget > 0 && s.memInUse+est > s.cfg.MemoryBudget {
@@ -324,14 +265,17 @@ func (s *Server) admit(est int64) *ServerError {
 				s.memInUse, est, s.cfg.MemoryBudget),
 		}
 	}
+	s.admitted++
 	s.memInUse += est
 	s.m.MemoryInUse.Set(s.memInUse)
 	return nil
 }
 
+// release returns one admission reservation.
 func (s *Server) release(est int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.admitted--
 	s.memInUse -= est
 	s.m.MemoryInUse.Set(s.memInUse)
 }
@@ -343,7 +287,7 @@ func (s *Server) reject(conn net.Conn, e *ServerError) {
 	if e.Code == ErrCodeOverload {
 		s.m.OverloadRejected.Inc()
 	}
-	_ = WriteFrame(conn, FrameError, EncodeErrorBody(e.Code, e.RetryAfter, e.Reason))
+	_ = WriteError(conn, e)
 	conn.Close()
 }
 
@@ -354,46 +298,20 @@ func (s *Server) handleConn(conn net.Conn) {
 		conn = s.cfg.WrapConn(conn)
 	}
 	br := bufio.NewReaderSize(conn, 64<<10)
-	idle := s.cfg.IdleTimeout
-
 	// Handshake. The HELLO must arrive within the idle timeout.
-	if idle > 0 {
-		_ = conn.SetReadDeadline(time.Now().Add(idle))
-	}
-	typ, body, err := ReadFrame(br)
-	if err != nil || (typ != FrameHello && typ != FrameResume) {
-		s.m.HelloErrors.Inc()
-		if err == nil {
-			err = fmt.Errorf("first frame type 0x%02x, want HELLO or RESUME", typ)
-		}
-		s.reject(conn, &ServerError{Reason: fmt.Sprintf("bad handshake: %v", err)})
-		return
-	}
-	h, err := ParseHello(body)
+	h, resumable, err := ReadHandshake(conn, br, s.cfg.IdleTimeout)
 	if err != nil {
 		s.m.HelloErrors.Inc()
 		s.reject(conn, &ServerError{Reason: err.Error()})
 		return
 	}
-	resumable := typ == FrameResume
 
 	// RESUME first tries to reclaim a parked session for the station;
 	// if none matches it falls through to a fresh resumable session
 	// starting at offset 0.
 	if resumable {
-		if p := s.awaitParked(h, conn); p != nil {
-			off := p.sess.Ingested()
-			if err := WriteFrame(conn, FrameOK, EncodeOffset(off)); err != nil {
-				s.parkOrFinish(p.sess, p.est, h, conn, true)
-				return
-			}
-			s.m.ResumesTotal.Inc()
-			s.m.StationResumes.With(h.Station).Inc()
-			p.sess.flight.Record("session_resume",
-				fmt.Sprintf("reclaimed at sample offset %d", off))
-			s.info("session resumed", append(sessAttrs(p.sess),
-				"remote", conn.RemoteAddr().String(), "offset", off)...)
-			s.serveSession(p.sess, p.est, h, conn, br)
+		if p, ok := s.parks.Reclaim(h.Station, func(p *slot) bool { return p.hello == h }); ok {
+			s.serveSession(p, conn, br, true)
 			return
 		}
 	}
@@ -425,38 +343,28 @@ func (s *Server) handleConn(conn net.Conn) {
 		s.reject(conn, aerr)
 		return
 	}
-	sess, err := s.newAdmittedSession(h, est, conn, resumable)
+	sess, err := s.newSession(h, resumable)
 	if err != nil {
 		s.release(est)
 		s.reject(conn, &ServerError{Reason: err.Error()})
 		return
 	}
-	// A plain HELLO gets the empty OK of protocol v1; RESUME gets the
-	// starting offset (0 for a fresh session) so the client knows where
-	// replay would begin.
-	var okBody []byte
 	if resumable {
-		okBody = EncodeOffset(0)
+		s.parks.Attach(h.Station)
 	}
-	if err := WriteFrame(conn, FrameOK, okBody); err != nil {
-		s.finishSession(sess, est, conn)
-		return
-	}
-	sess.flight.Record("session_accept",
-		fmt.Sprintf("sf%d from %s", h.SF, conn.RemoteAddr()))
-	s.info("session accepted", append(sessAttrs(sess),
-		"remote", conn.RemoteAddr().String(), "sf", h.SF,
-		"resumable", resumable, "reserved_bytes", est)...)
-	s.serveSession(sess, est, h, conn, br)
+	s.serveSession(&slot{sess: sess, est: est, hello: h}, conn, br, false)
 }
 
-// serveSession runs the frame loop for an established session and
-// tears it down: parking it when a resumable connection dies abnormally
-// (so RESUME can reclaim it), draining it otherwise. A panic anywhere
-// in the loop is contained to this session.
-func (s *Server) serveSession(sess *Session, est int64, h Hello, conn net.Conn, br *bufio.Reader) {
+// serveSession answers the handshake and runs the frame loop for an
+// admitted (or, when resumed, reclaimed) session, then tears it down:
+// parking it when a resumable connection dies abnormally (so RESUME can
+// reclaim it), draining it otherwise. A panic anywhere in the loop is
+// contained to this session.
+func (s *Server) serveSession(p *slot, conn net.Conn, br *bufio.Reader, resumed bool) {
+	sess, h := p.sess, p.hello
 	idle := s.cfg.IdleTimeout
-	park := false
+	// A reclaimed session whose OK cannot be written parks again.
+	park := resumed
 	defer func() {
 		if v := recover(); v != nil {
 			s.m.PanicsRecovered.Inc()
@@ -470,8 +378,30 @@ func (s *Server) serveSession(sess *Session, est int64, h Hello, conn net.Conn, 
 			// holds it.
 			s.dumpFlight("session post-mortem", sess.CID, "trigger", ferr.Error())
 		}
-		s.parkOrFinish(sess, est, h, conn, park)
+		s.leave(p, conn, park)
+		s.attach(-1)
 	}()
+	s.attach(1)
+	off := sess.Ingested()
+	if resumed {
+		// Counted before the OK, so a client that saw it sees the count.
+		s.m.ResumesTotal.Inc()
+		s.m.StationResumes.With(h.Station).Inc()
+	}
+	if err := WriteAccept(conn, sess.Resumable, off); err != nil {
+		return
+	}
+	park = false
+	if resumed {
+		sess.flight.Record("session_resume", fmt.Sprintf("reclaimed at sample offset %d", off))
+		s.info("session resumed", append(sessAttrs(sess),
+			"remote", conn.RemoteAddr().String(), "offset", off)...)
+	} else {
+		sess.flight.Record("session_accept", fmt.Sprintf("sf%d from %s", h.SF, conn.RemoteAddr()))
+		s.info("session accepted", append(sessAttrs(sess),
+			"remote", conn.RemoteAddr().String(), "sf", h.SF,
+			"resumable", sess.Resumable, "reserved_bytes", p.est)...)
+	}
 
 	var iqBuf []complex128
 	for {
@@ -503,10 +433,10 @@ func (s *Server) serveSession(sess *Session, est int64, h Hello, conn net.Conn, 
 				err = sess.Write(iqBuf)
 			}
 			if err != nil {
-				// ErrGatewayClosed means Shutdown drained us mid-stream; a
-				// failed session carries its fault. Either way the session
+				// ErrGatewayClosed means the session was drained under us;
+				// a failed session carries its fault. Either way the session
 				// is over — a failed session is never parked.
-				_ = WriteFrame(conn, FrameError, EncodeErrorBody(ErrCodeGeneric, 0, err.Error()))
+				_ = WriteError(conn, &ServerError{Reason: err.Error()})
 				return
 			}
 			s.m.FramesIngested.Inc()
@@ -534,15 +464,14 @@ func (s *Server) serveSession(sess *Session, est int64, h Hello, conn net.Conn, 
 			return
 		default:
 			s.warn("unexpected frame type", append(sessAttrs(sess), "type", fmt.Sprintf("0x%02x", typ))...)
-			_ = WriteFrame(conn, FrameError,
-				EncodeErrorBody(ErrCodeGeneric, 0, fmt.Sprintf("unexpected frame type 0x%02x", typ)))
+			_ = WriteError(conn, &ServerError{Reason: fmt.Sprintf("unexpected frame type 0x%02x", typ)})
 			return
 		}
 	}
 }
 
-// newAdmittedSession builds the session and tracks it.
-func (s *Server) newAdmittedSession(h Hello, est int64, conn net.Conn, resumable bool) (*Session, error) {
+// newSession builds an admitted session.
+func (s *Server) newSession(h Hello, resumable bool) (*Session, error) {
 	s.mu.Lock()
 	s.nextID++
 	id := s.nextID
@@ -564,157 +493,53 @@ func (s *Server) newAdmittedSession(h Hello, est int64, conn net.Conn, resumable
 		return nil, err
 	}
 	sess.setMetrics(s.m)
-	s.mu.Lock()
-	s.sessions[id] = &activeSession{sess: sess, conn: conn}
-	active := len(s.sessions)
-	s.mu.Unlock()
 	s.m.SessionsTotal.Inc()
-	s.m.SessionsActive.Set(int64(active))
 	s.m.StationSessions.With(h.Station).Inc()
 	return sess, nil
 }
 
-// resumeGrace bounds how long a RESUME waits for the station's dying
-// connection to park its session: a client that detected the failure
-// first can reconnect before the server's reader has seen the
-// disconnect, and reclaiming must win that race or the client would be
-// handed a fresh session at offset 0 while the old one still holds the
-// ingested stream.
-const resumeGrace = 3 * time.Second
-
-// awaitParked reclaims the station's parked session, briefly waiting
-// out an in-flight park when the previous connection is still tearing
-// down (see resumeGrace).
-func (s *Server) awaitParked(h Hello, conn net.Conn) *parkedSession {
-	if p := s.resumeParked(h, conn); p != nil {
-		return p
-	}
-	deadline := time.Now().Add(resumeGrace)
-	for s.hasActiveStation(h) && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-		if p := s.resumeParked(h, conn); p != nil {
-			return p
-		}
-	}
-	return nil
-}
-
-// hasActiveStation reports whether a resumable session for the station
-// is still attached to a connection.
-func (s *Server) hasActiveStation(h Hello) bool {
+// attach counts a session onto (+1) or off (-1) a connection.
+func (s *Server) attach(delta int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, a := range s.sessions {
-		if a.sess.Resumable && a.sess.Station == h.Station {
-			return true
-		}
-	}
-	return false
+	s.attached += delta
+	s.m.SessionsActive.Set(int64(s.attached))
 }
 
-// resumeParked reclaims the station's parked session for a new
-// connection, returning nil when there is nothing to reclaim (no parked
-// session, a different stream configuration, the park timer already
-// fired, or the server is draining).
-func (s *Server) resumeParked(h Hello, conn net.Conn) *parkedSession {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil
+// leave ends a session's connection: with park set a healthy resumable
+// session parks for the resume window; anything else finishes.
+func (s *Server) leave(p *slot, conn net.Conn, park bool) {
+	sess := p.sess
+	if sess.Resumable && s.parks.Leave(sess.Station, p, park && sess.Failed() == nil) {
+		sess.flight.Record("session_park", fmt.Sprintf("resume window %v", s.cfg.ParkTimeout))
+		s.info("session parked", append(sessAttrs(sess), "resume_window", s.cfg.ParkTimeout)...)
+	} else {
+		s.finish(p, false)
 	}
-	p := s.parked[h.Station]
-	if p == nil || p.hello != h {
-		return nil
-	}
-	if !p.timer.Stop() {
-		// The expiry fired and is waiting on the lock; let it drain.
-		return nil
-	}
-	delete(s.parked, h.Station)
-	s.sessions[p.sess.ID] = &activeSession{sess: p.sess, conn: conn}
-	s.m.SessionsParked.Set(int64(len(s.parked)))
-	s.m.SessionsActive.Set(int64(len(s.sessions)))
-	return p
+	conn.Close()
 }
 
-// parkOrFinish tears a session down after its connection ends: a
-// healthy resumable session is parked for the resume window (when park
-// is set and parking is enabled); anything else drains immediately.
-func (s *Server) parkOrFinish(sess *Session, est int64, h Hello, conn net.Conn, park bool) {
-	if park && sess.Failed() == nil && s.parkSession(sess, est, h) {
-		conn.Close()
-		sess.flight.Record("session_park",
-			fmt.Sprintf("resume window %v", s.cfg.ParkTimeout))
-		s.info("session parked", append(sessAttrs(sess),
-			"resume_window", s.cfg.ParkTimeout)...)
-		return
+// finish drains a session (idempotent — publishing any still-buffered
+// packets) and returns its reservation: leave's end for a session that
+// does not park, and the park table's release for one whose resume
+// window elapsed (expired) or that Shutdown took.
+func (s *Server) finish(p *slot, expired bool) {
+	if expired {
+		s.m.ResumesExpired.Inc()
+		p.sess.flight.Record("park_expire", "resume window elapsed, draining")
+		s.info("session resume window expired", sessAttrs(p.sess)...)
 	}
-	s.finishSession(sess, est, conn)
-}
-
-// parkSession moves a session from the active set to the parked map,
-// starting its expiry timer. Fails (→ caller drains) when parking is
-// disabled, the server is draining, or the station already has a parked
-// session.
-func (s *Server) parkSession(sess *Session, est int64, h Hello) bool {
-	if s.cfg.ParkTimeout <= 0 {
-		return false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return false
-	}
-	if _, dup := s.parked[sess.Station]; dup {
-		return false
-	}
-	delete(s.sessions, sess.ID)
-	p := &parkedSession{sess: sess, est: est, hello: h}
-	p.timer = time.AfterFunc(s.cfg.ParkTimeout, func() { s.expirePark(sess.Station, p) })
-	s.parked[sess.Station] = p
-	s.m.SessionsActive.Set(int64(len(s.sessions)))
-	s.m.SessionsParked.Set(int64(len(s.parked)))
-	return true
-}
-
-// expirePark drains a parked session whose resume window elapsed.
-func (s *Server) expirePark(station string, p *parkedSession) {
-	s.mu.Lock()
-	if s.parked[station] != p {
-		s.mu.Unlock()
-		return
-	}
-	delete(s.parked, station)
-	parked := len(s.parked)
-	s.mu.Unlock()
-	s.m.SessionsParked.Set(int64(parked))
-	s.m.ResumesExpired.Inc()
-	p.sess.flight.Record("park_expire", "resume window elapsed, draining")
-	s.info("session resume window expired", sessAttrs(p.sess)...)
 	if err := p.sess.Drain(); err != nil {
-		s.warn("session expiry drain failed", append(sessAttrs(p.sess), "err", err.Error())...)
+		s.warn("session drain failed", append(sessAttrs(p.sess), "err", err.Error())...)
 	}
 	s.release(p.est)
 }
 
-// finishSession drains (idempotent — publishes any still-buffered
-// packets), untracks and closes one session.
-func (s *Server) finishSession(sess *Session, est int64, conn net.Conn) {
-	_ = sess.Drain()
-	conn.Close()
-	s.mu.Lock()
-	delete(s.sessions, sess.ID)
-	active := len(s.sessions)
-	s.mu.Unlock()
-	s.m.SessionsActive.Set(int64(active))
-	s.release(est)
-}
-
-// Shutdown drains the daemon gracefully: stop accepting, flush every
-// session's Gateway (parked sessions included, publishing all
-// fully-buffered packets), close the connections, and wait for the
-// handlers — bounded by ctx. The sink is left open; close it after
-// Shutdown so late records are not lost.
+// Shutdown drains the daemon gracefully: stop accepting, drain the
+// parked sessions, then close every ingestion connection so its handler
+// drains its own session (publishing all fully-buffered packets), and
+// wait for the handlers — bounded by ctx. The sink is left open; close
+// it after Shutdown so late records are not lost.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	if s.closed {
@@ -722,57 +547,9 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		return nil
 	}
 	s.closed = true
-	for ln := range s.listeners {
-		ln.Close()
-	}
-	active := make([]*activeSession, 0, len(s.sessions))
-	for _, a := range s.sessions {
-		active = append(active, a)
-	}
-	idle := make([]*parkedSession, 0, len(s.parked))
-	for _, p := range s.parked {
-		p.timer.Stop()
-		idle = append(idle, p)
-	}
-	s.parked = map[string]*parkedSession{}
 	s.mu.Unlock()
-	s.m.SessionsParked.Set(0)
-
-	// Flush sessions concurrently; closing each connection afterwards
-	// unblocks its reader so the handler can finish.
-	var wg sync.WaitGroup
-	for _, a := range active {
-		wg.Add(1)
-		go func(a *activeSession) {
-			defer wg.Done()
-			if err := a.sess.Drain(); err != nil {
-				s.warn("session shutdown drain failed", append(sessAttrs(a.sess), "err", err.Error())...)
-			}
-			a.conn.Close()
-		}(a)
-	}
-	for _, p := range idle {
-		wg.Add(1)
-		go func(p *parkedSession) {
-			defer wg.Done()
-			if err := p.sess.Drain(); err != nil {
-				s.warn("session shutdown drain failed", append(sessAttrs(p.sess), "err", err.Error())...)
-			}
-			s.release(p.est)
-		}(p)
-	}
-	flushed := make(chan struct{})
-	go func() {
-		wg.Wait()
-		s.connWG.Wait()
-		close(flushed)
-	}()
-	select {
-	case <-flushed:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
+	// Closing the park table first means no session parks mid-shutdown.
+	return s.lns.Shutdown(ctx, s.parks.Close)
 }
 
 // Ready reports whether admission control would currently accept a new
@@ -786,9 +563,8 @@ func (s *Server) Ready() error {
 	if s.closed {
 		return errors.New("draining")
 	}
-	inUse := len(s.sessions) + len(s.parked)
-	if s.cfg.MaxSessions > 0 && inUse >= s.cfg.MaxSessions {
-		return fmt.Errorf("shedding: session limit reached (%d/%d)", inUse, s.cfg.MaxSessions)
+	if s.cfg.MaxSessions > 0 && s.admitted >= s.cfg.MaxSessions {
+		return fmt.Errorf("shedding: session limit reached (%d/%d)", s.admitted, s.cfg.MaxSessions)
 	}
 	if s.cfg.MemoryBudget > 0 && s.memInUse >= s.cfg.MemoryBudget {
 		return fmt.Errorf("shedding: memory budget exhausted (%d/%d bytes)",
@@ -801,13 +577,9 @@ func (s *Server) Ready() error {
 func (s *Server) SessionCount() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.sessions)
+	return s.attached
 }
 
 // ParkedCount reports the number of parked (resumable, disconnected)
 // sessions.
-func (s *Server) ParkedCount() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.parked)
-}
+func (s *Server) ParkedCount() int { return s.parks.Len() }
