@@ -6,6 +6,7 @@
 package cic_test
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -18,6 +19,7 @@ import (
 	"cic/internal/core"
 	"cic/internal/dsp"
 	"cic/internal/eval"
+	"cic/internal/experiment"
 	"cic/internal/frame"
 	"cic/internal/phy"
 	"cic/internal/rx"
@@ -154,14 +156,14 @@ func BenchmarkPreambleScanDownchirp(b *testing.B) {
 }
 
 func BenchmarkFullReceive3Packets(b *testing.B) {
-	src, _, cfg := benchCollisionSource(b, 3)
-	recv, err := core.NewReceiver(cfg, core.Options{}, rx.DetectorOptions{}, 0)
+	src, _, _ := benchCollisionSource(b, 3)
+	recv, err := cic.NewReceiver(cic.DefaultConfig())
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := recv.Receive(src); err != nil {
+		if _, err := recv.DecodeSource(src); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -378,27 +380,44 @@ func BenchmarkFig19to20PreambleClutter(b *testing.B) { benchFigure(b, eval.Pream
 func BenchmarkFig22to26DeploymentMaps(b *testing.B)  { benchFigure(b, eval.DeploymentMaps) }
 func BenchmarkFig27SNRDistribution(b *testing.B)     { benchFigure(b, eval.SNRDistribution) }
 
-func benchThroughput(b *testing.B, dep sim.Deployment) {
-	benchFigure(b, func(cfg eval.Config) (eval.Figure, error) {
-		return eval.Throughput(cfg, dep)
-	})
+// benchSweep runs a reduced one-trial sweep (the harness path the
+// committed throughput and detection figures take) and aggregates it.
+func benchSweep(b *testing.B, metric, dep string) {
+	cfg, err := experiment.Parse([]byte(fmt.Sprintf(`{
+		"version": 1, "name": "bench", "kind": "sweep", "metric": %q,
+		"channel": {"sf": 8, "bandwidth_hz": 250000, "osr": 4, "cr": "4/5"},
+		"deployments": [{"base": %q}],
+		"rates": [40], "duration_s": 0.5, "payload_len": 16,
+		"seeds": {"base": 1}
+	}`, metric, dep)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := experiment.Run(context.Background(), cfg, experiment.RunnerOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		figs, err := experiment.Aggregate(cfg, res.Results)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(figs) == 0 || len(figs[0].Series) == 0 {
+			b.Fatal("empty figure")
+		}
+	}
 }
 
-func BenchmarkFig28ThroughputD1(b *testing.B) { benchThroughput(b, sim.D1) }
-func BenchmarkFig29ThroughputD2(b *testing.B) { benchThroughput(b, sim.D2) }
-func BenchmarkFig30ThroughputD3(b *testing.B) { benchThroughput(b, sim.D3) }
-func BenchmarkFig31ThroughputD4(b *testing.B) { benchThroughput(b, sim.D4) }
+func BenchmarkFig28ThroughputD1(b *testing.B) { benchSweep(b, "throughput", "D1") }
+func BenchmarkFig29ThroughputD2(b *testing.B) { benchSweep(b, "throughput", "D2") }
+func BenchmarkFig30ThroughputD3(b *testing.B) { benchSweep(b, "throughput", "D3") }
+func BenchmarkFig31ThroughputD4(b *testing.B) { benchSweep(b, "throughput", "D4") }
 
-func benchDetection(b *testing.B, dep sim.Deployment) {
-	benchFigure(b, func(cfg eval.Config) (eval.Figure, error) {
-		return eval.Detection(cfg, dep)
-	})
-}
-
-func BenchmarkFig32DetectionD1(b *testing.B) { benchDetection(b, sim.D1) }
-func BenchmarkFig33DetectionD2(b *testing.B) { benchDetection(b, sim.D2) }
-func BenchmarkFig34DetectionD3(b *testing.B) { benchDetection(b, sim.D3) }
-func BenchmarkFig35DetectionD4(b *testing.B) { benchDetection(b, sim.D4) }
+func BenchmarkFig32DetectionD1(b *testing.B) { benchSweep(b, "detection", "D1") }
+func BenchmarkFig33DetectionD2(b *testing.B) { benchSweep(b, "detection", "D2") }
+func BenchmarkFig34DetectionD3(b *testing.B) { benchSweep(b, "detection", "D3") }
+func BenchmarkFig35DetectionD4(b *testing.B) { benchSweep(b, "detection", "D4") }
 
 func BenchmarkFig36AblationD1(b *testing.B) {
 	benchFigure(b, func(cfg eval.Config) (eval.Figure, error) {
@@ -425,21 +444,21 @@ func BenchmarkFig38TemporalProximity(b *testing.B) {
 // the strawman, SED on/off, and the §5.7 filters on/off. The reported
 // metric of interest is `decoded/op` (packets recovered per run).
 
-func benchAblation(b *testing.B, opts core.Options) {
-	src, pkts, cfg := benchCollisionSource(b, 4)
-	recv, err := core.NewReceiver(cfg, opts, rx.DetectorOptions{}, 0)
+func benchAblation(b *testing.B, opts ...cic.Option) {
+	src, _, _ := benchCollisionSource(b, 4)
+	recv, err := cic.NewReceiver(cic.DefaultConfig(), opts...)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	decoded := 0
 	for i := 0; i < b.N; i++ {
-		results, err := recv.DecodeAll(src, clonePkts(pkts))
+		pkts, err := recv.DecodeSource(src)
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, res := range results {
-			if res.OK() {
+		for _, p := range pkts {
+			if p.OK {
 				decoded++
 			}
 		}
@@ -447,21 +466,11 @@ func benchAblation(b *testing.B, opts core.Options) {
 	b.ReportMetric(float64(decoded)/float64(b.N), "decoded/op")
 }
 
-func clonePkts(pkts []*rx.Packet) []*rx.Packet {
-	out := make([]*rx.Packet, len(pkts))
-	for i, p := range pkts {
-		c := *p
-		out[i] = &c
-	}
-	return out
+func BenchmarkAblationFullCIC(b *testing.B) { benchAblation(b) }
+func BenchmarkAblationStrawman(b *testing.B) {
+	benchAblation(b, cic.WithAlgorithm(cic.AlgorithmStrawman))
 }
-
-func BenchmarkAblationFullCIC(b *testing.B)  { benchAblation(b, core.Options{}) }
-func BenchmarkAblationStrawman(b *testing.B) { benchAblation(b, core.Options{Strawman: true}) }
-func BenchmarkAblationNoSED(b *testing.B)    { benchAblation(b, core.Options{DisableSED: true}) }
+func BenchmarkAblationNoSED(b *testing.B) { benchAblation(b, cic.WithoutSED()) }
 func BenchmarkAblationNoFilters(b *testing.B) {
-	benchAblation(b, core.Options{DisableCFOFilter: true, DisablePowerFilter: true})
-}
-func BenchmarkAblationRelativeSED(b *testing.B) {
-	benchAblation(b, core.Options{RelativeSED: true})
+	benchAblation(b, cic.WithoutCFOFilter(), cic.WithoutPowerFilter())
 }

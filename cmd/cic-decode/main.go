@@ -11,7 +11,9 @@
 // status and payload hex. With -stream the capture is decoded through the
 // streaming cic.Gateway in fixed-size chunks, so memory stays constant no
 // matter how long the capture is (and -in - accepts a pipe); without it
-// the whole file is loaded and decoded by the batch Receiver.
+// the whole file is loaded and decoded by a Receiver, which runs the same
+// Gateway over it and sorts the records by start (and, for lora, applies
+// the capture lock).
 package main
 
 import (
@@ -37,7 +39,7 @@ func run() error {
 	var (
 		in        = flag.String("in", "", `input .cf32 path, or "-" for stdin (required)`)
 		algo      = flag.String("algo", "cic", "decoder: cic, strawman, lora, choir, ftrack")
-		stream    = flag.Bool("stream", false, "decode via the streaming Gateway in fixed-size chunks (constant memory; cic/strawman only)")
+		stream    = flag.Bool("stream", false, "decode via the streaming Gateway in fixed-size chunks (constant memory; every algorithm but lora)")
 		chunk     = flag.Int("chunk", 65536, "samples per read in -stream mode")
 		sf        = flag.Int("sf", 8, "spreading factor")
 		bw        = flag.Float64("bw", 250e3, "bandwidth Hz")

@@ -3,46 +3,32 @@ package main
 import (
 	"bytes"
 	"os"
+	"path/filepath"
 	"testing"
 
 	"cic/internal/eval"
-	"cic/internal/sim"
 )
 
-func TestSelectDeployments(t *testing.T) {
-	all, err := selectDeployments("")
-	if err != nil || len(all) != 4 {
-		t.Fatalf("default deployments: %v, %d", err, len(all))
-	}
-	one, err := selectDeployments("d3")
-	if err != nil || len(one) != 1 || one[0].Name != "D3" {
-		t.Fatalf("d3: %v, %+v", err, one)
-	}
-	if _, err := selectDeployments("D7"); err == nil {
-		t.Error("bogus deployment accepted")
-	}
-}
-
-func TestRunExperimentUnknown(t *testing.T) {
-	cfg := eval.DefaultConfig()
-	if _, err := runExperiment("nonsense", cfg, sim.Deployments()); err == nil {
-		t.Error("unknown experiment accepted")
-	}
-}
-
-func TestRunExperimentLightweightFigures(t *testing.T) {
-	cfg := eval.DefaultConfig()
-	cfg.Duration = 0.5
-	cfg.Rates = []float64{10}
-	cfg.PayloadLen = 8
-	for _, exp := range []string{"heisenberg", "snr", "maps", "cancellation"} {
-		figs, err := runExperiment(exp, cfg, sim.Deployments())
+func TestRunConfigLightweightFigures(t *testing.T) {
+	dir := t.TempDir()
+	for _, fig := range []string{"heisenberg", "snr", "maps", "cancellation"} {
+		path := filepath.Join(dir, fig+".json")
+		cfg := `{"version": 1, "name": "` + fig + `", "kind": "figure", "figure": "` + fig + `",
+			"deployments": [{"base": "D1"}, {"base": "D2"}, {"base": "D3"}, {"base": "D4"}],
+			"rates": [10], "duration_s": 0.5, "payload_len": 8, "seeds": {"base": 1}}`
+		if err := os.WriteFile(path, []byte(cfg), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		figs, err := runConfig(configOptions{path: path})
 		if err != nil {
-			t.Fatalf("%s: %v", exp, err)
+			t.Fatalf("%s: %v", fig, err)
 		}
 		if len(figs) == 0 {
-			t.Fatalf("%s produced no figures", exp)
+			t.Fatalf("%s produced no figures", fig)
 		}
+	}
+	if _, err := runConfig(configOptions{path: filepath.Join(dir, "missing.json")}); err == nil {
+		t.Error("missing config accepted")
 	}
 }
 

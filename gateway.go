@@ -8,6 +8,9 @@ import (
 	"sync/atomic"
 	"time"
 
+	"cic/internal/baseline/choir"
+	"cic/internal/baseline/ftrack"
+	"cic/internal/baseline/stdlora"
 	"cic/internal/core"
 	"cic/internal/frame"
 	"cic/internal/obs"
@@ -15,12 +18,13 @@ import (
 	"cic/internal/rx"
 )
 
-// Gateway is a streaming CIC receiver: push raw IQ samples in arbitrary
-// chunks as they arrive from an SDR front end, and receive decoded packets
-// on a channel as soon as each transmission completes. This is the paper's
-// §6 deployment shape — a demodulator co-located with the radio or running
-// as a virtual gateway in the cloud — in contrast to the batch
-// Receiver.DecodeBuffer API.
+// Gateway is the streaming receiver and the repository's one decode
+// driver: push raw IQ samples in arbitrary chunks as they arrive from an
+// SDR front end, and receive decoded packets on a channel as soon as each
+// transmission completes. This is the paper's §6 deployment shape — a
+// demodulator co-located with the radio or running as a virtual gateway
+// in the cloud. Receiver.DecodeSource streams a whole source through a
+// Gateway, so batch and streaming decodes are the same computation.
 //
 //	gw, _ := cic.NewGateway(cfg, cic.WithWorkers(4))
 //	go func() {
@@ -37,14 +41,18 @@ import (
 // newly arrived region for preambles incrementally, and decodes a packet
 // once the air has moved past its end (by which time every transmission
 // that could interfere with it has itself been detected, so the CIC
-// boundary bookkeeping is complete).
+// boundary bookkeeping is complete). Write cuts its input at absolute
+// multiples of a fixed ingest step (16 symbols) and detects and dispatches
+// only at those boundaries, so the decoded records depend only on the
+// sample stream, never on how it was split into writes.
 //
 // Decoding is pipelined: the ingest goroutine detects preambles, decodes
 // each completed packet's header (cheap, and order-sensitive — header
 // decode fixes the packet length that later packets' boundary bookkeeping
 // depends on), snapshots the packet's samples out of the ring with a
 // two-segment bulk copy, and hands the expensive payload demodulation to a
-// pool of workers, each owning a private core.Demodulator. A reorder
+// pool of workers, each owning a private symbol picker (the algorithm's
+// demodulator: CIC's core.Demodulator or a baseline's). A reorder
 // buffer delivers results on Packets() in dispatch (air-time) order, so
 // the output sequence is identical to a single-worker gateway.
 // Backpressure is bounded by the pool depth: when every worker is busy and
@@ -56,9 +64,11 @@ type Gateway struct {
 	cfg     Config
 	fcfg    frame.Config
 	det     *rx.Detector
-	hdrDM   *core.Demodulator // header demodulation on the ingest goroutine
+	scan    func(src rx.SampleSource, start, end int64) []*rx.Packet
+	hdr     rx.SymbolPicker // header demodulation on the ingest goroutine
 	out     chan Packet
 	maxPkt  int64 // samples in a max-length packet
+	step    int64 // ingest step: detection and dispatch run at its multiples
 	scanLag int64 // how far detection trails the newest sample
 	workers int
 
@@ -74,6 +84,13 @@ type Gateway struct {
 	active   []*rx.Packet // all tracked packets still relevant as interferers
 	maxIDSeq int
 	seq      int64 // dispatch sequence number (reorder key)
+
+	// dispatched, when keepDispatched is set, collects a copy of every
+	// dispatched packet's geometry in dispatch order — the order of
+	// Packets(). Receiver's LoRa capture post-pass reads the preamble
+	// amplitudes and header-derived lengths from it. Guarded by wmu.
+	keepDispatched bool
+	dispatched     []rx.Packet
 
 	jobs        chan decodeJob
 	results     chan seqPacket
@@ -145,43 +162,48 @@ type seqPacket struct {
 // ErrGatewayClosed is returned by Write after Close.
 var ErrGatewayClosed = errors.New("cic: gateway closed")
 
-// NewGateway builds a streaming gateway. Options are as for NewReceiver;
-// only the CIC and strawman algorithms support streaming (the baselines
-// exist for offline comparison), and any option with no streaming effect
-// is rejected rather than silently ignored. WithWorkers sets the payload
-// decode pool size (default GOMAXPROCS).
+// NewGateway builds a streaming gateway. Options are as for NewReceiver.
+// Every algorithm streams except AlgorithmLoRa, whose capture lock picks
+// its survivors from the whole detection set; Receiver applies it after
+// the stream closes. WithWorkers sets the payload decode pool size
+// (default GOMAXPROCS).
 func NewGateway(cfg Config, options ...Option) (*Gateway, error) {
+	o := applyOptions(options)
+	if o.algo == AlgorithmLoRa {
+		return nil, fmt.Errorf("cic: gateway streaming does not support %q: its capture lock needs the whole detection set (use Receiver)", o.algo)
+	}
+	return newGateway(cfg, o)
+}
+
+// Ingest step and up-chirp scan lag, in symbols. The down-chirp scan
+// reads at most two symbols past its frontier; a conventional up-chirp run
+// is localised and verified up to ten symbols past its last window.
+const (
+	ingestStepSymbols = 16
+	downchirpLag      = 2
+	upchirpLag        = 10
+)
+
+// newGateway builds a gateway for any algorithm, AlgorithmLoRa included.
+func newGateway(cfg Config, o receiverOptions) (*Gateway, error) {
 	fc, err := cfg.frameConfig()
 	if err != nil {
 		return nil, err
-	}
-	o := receiverOptions{algo: AlgorithmCIC}
-	for _, opt := range options {
-		opt(&o)
-	}
-	if o.algo != AlgorithmCIC && o.algo != AlgorithmStrawman && o.algo != "" {
-		return nil, fmt.Errorf("cic: gateway streaming supports cic/strawman, not %q", o.algo)
-	}
-	if len(o.batchOnly) > 0 {
-		return nil, fmt.Errorf("cic: option %s has no effect on a streaming gateway", o.batchOnly[0])
 	}
 	workers := o.workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	dmx := obs.NewDecodeMetrics(o.metrics)
-	det, err := rx.NewDetector(fc, rx.DetectorOptions{Metrics: dmx})
+	dec, err := decoderFor(fc, o, dmx)
 	if err != nil {
 		return nil, err
 	}
-	coreOpts := core.Options{
-		Strawman:           o.algo == AlgorithmStrawman,
-		DisableSED:         o.disableSED,
-		DisableCFOFilter:   o.disableCFOFilter,
-		DisablePowerFilter: o.disablePowerFilter,
-		Metrics:            dmx,
+	det, err := rx.NewDetector(fc, dec.detOpts)
+	if err != nil {
+		return nil, err
 	}
-	hdrDM, err := core.NewDemodulator(fc, coreOpts)
+	hdr, err := dec.newPicker()
 	if err != nil {
 		return nil, err
 	}
@@ -191,13 +213,15 @@ func NewGateway(cfg Config, options ...Option) (*Gateway, error) {
 		cfg:     cfg,
 		fcfg:    fc,
 		det:     det,
-		hdrDM:   hdrDM,
+		scan:    det.ScanDownchirpRange,
+		hdr:     hdr,
 		out:     make(chan Packet, 64),
 		maxPkt:  maxPkt,
-		scanLag: 2 * m,
+		step:    ingestStepSymbols * m,
+		scanLag: downchirpLag * m,
 		workers: workers,
 		// Ring must hold the longest packet plus detection lag plus a full
-		// scan region; triple the packet length is comfortably enough.
+		// ingest step; triple the packet length is comfortably enough.
 		buf:         make([]complex128, 3*maxPkt),
 		jobs:        make(chan decodeJob, workers),
 		results:     make(chan seqPacket, workers),
@@ -209,6 +233,10 @@ func NewGateway(cfg Config, options ...Option) (*Gateway, error) {
 		panicHook:   o.panicHook,
 		flight:      o.flight,
 	}
+	if dec.upchirp {
+		g.scan = det.ScanUpchirpRange
+		g.scanLag = upchirpLag * m
+	}
 	if o.metrics != nil || o.tracer != nil {
 		g.detectedAt = make(map[int]time.Time)
 	}
@@ -216,21 +244,58 @@ func NewGateway(cfg Config, options ...Option) (*Gateway, error) {
 		s := make([]complex128, maxPkt)
 		return &s
 	}
-	dms := make([]*core.Demodulator, workers)
-	for w := range dms {
-		if dms[w], err = core.NewDemodulator(fc, coreOpts); err != nil {
+	pickers := make([]rx.SymbolPicker, workers)
+	for w := range pickers {
+		if pickers[w], err = dec.newPicker(); err != nil {
 			return nil, err
 		}
 	}
-	for _, dm := range dms {
+	for _, p := range pickers {
 		g.workerWG.Add(1)
-		go g.worker(dm)
+		go g.worker(p)
 	}
 	go func() {
 		g.reorder()
 		close(g.reorderDone)
 	}()
 	return g, nil
+}
+
+// decoder is one algorithm's part of the decode driver: its preamble scan
+// and a factory for its symbol pickers (one per goroutine).
+type decoder struct {
+	detOpts   rx.DetectorOptions
+	upchirp   bool // conventional up-chirp scan instead of CIC's down-chirp scan
+	newPicker func() (rx.SymbolPicker, error)
+}
+
+// decoderFor resolves the algorithm selected in o.
+func decoderFor(fc frame.Config, o receiverOptions, m *obs.DecodeMetrics) (decoder, error) {
+	d := decoder{detOpts: rx.DetectorOptions{Metrics: m}, upchirp: true}
+	switch o.algo {
+	case AlgorithmCIC, AlgorithmStrawman:
+		opts := core.Options{
+			Strawman:           o.algo == AlgorithmStrawman,
+			DisableSED:         o.disableSED,
+			DisableCFOFilter:   o.disableCFOFilter,
+			DisablePowerFilter: o.disablePowerFilter,
+			Metrics:            m,
+		}
+		d.upchirp = false
+		d.newPicker = func() (rx.SymbolPicker, error) { return core.NewDemodulator(fc, opts) }
+	case AlgorithmLoRa:
+		d.newPicker = func() (rx.SymbolPicker, error) { return stdlora.NewPicker(fc) }
+	case AlgorithmChoir:
+		d.newPicker = func() (rx.SymbolPicker, error) { return choir.NewPicker(fc, choir.Options{}) }
+	case AlgorithmFTrack:
+		// FTrack extracts multiple frequency tracks per window, so its
+		// preamble search tolerates a stronger concurrent peak.
+		d.detOpts.UpchirpTopK = 3
+		d.newPicker = func() (rx.SymbolPicker, error) { return ftrack.NewPicker(fc, ftrack.Options{}) }
+	default:
+		return decoder{}, fmt.Errorf("cic: unknown algorithm %q", o.algo)
+	}
+	return d, nil
 }
 
 // Packets returns the channel on which decoded packets are delivered. The
@@ -246,8 +311,9 @@ func (g *Gateway) BufferedSamples() int64 {
 func (g *Gateway) Workers() int { return g.workers }
 
 // Write appends IQ samples to the stream and processes whatever became
-// decodable. It may block when every decode worker is busy and the job
-// queue is full, or when the Packets channel is full (backpressure).
+// decodable at each ingest-step boundary the samples cross. It may block
+// when every decode worker is busy and the job queue is full, or when the
+// Packets channel is full (backpressure).
 func (g *Gateway) Write(iq []complex128) (int, error) {
 	g.wmu.Lock()
 	defer g.wmu.Unlock()
@@ -255,9 +321,17 @@ func (g *Gateway) Write(iq []complex128) (int, error) {
 		return 0, ErrGatewayClosed
 	}
 	g.m.SamplesIngested.Add(int64(len(iq)))
-	g.writeBulk(iq)
-	g.process(false) //cic:lock-ok: dispatch sends on g.jobs under wmu by design — the bounded queue is the documented backpressure contract, and Close (the only other wmu holder) drains it
-	return len(iq), nil
+	n := len(iq)
+	for len(iq) > 0 {
+		written := g.written.Load()
+		k := min(g.step-written%g.step, int64(len(iq)))
+		g.writeBulk(iq[:k])
+		iq = iq[k:]
+		if (written+k)%g.step == 0 {
+			g.process(false) //cic:lock-ok: dispatch sends on g.jobs under wmu by design — the bounded queue is the documented backpressure contract, and Close (the only other wmu holder) drains it
+		}
+	}
+	return n, nil
 }
 
 // Close flushes the stream (decoding every packet whose samples are fully
@@ -279,19 +353,12 @@ func (g *Gateway) Close() error {
 	return nil
 }
 
-// writeBulk appends samples to the ring with at most two copy calls,
-// evicting the oldest samples when full. Caller holds wmu.
+// writeBulk appends at most one ingest step of samples to the ring with
+// at most two copy calls, evicting the oldest samples when full. Caller
+// holds wmu.
 func (g *Gateway) writeBulk(iq []complex128) {
 	n := int64(len(g.buf))
 	written := g.written.Load()
-	if int64(len(iq)) > n {
-		// Samples that would be evicted before they could ever be read:
-		// account for them without copying.
-		skip := int64(len(iq)) - n
-		g.m.SamplesDropped.Add(skip)
-		written += skip
-		iq = iq[skip:]
-	}
 	newWritten := written + int64(len(iq))
 	if base := g.base.Load(); newWritten-base > n {
 		g.base.Store(newWritten - n)
@@ -358,7 +425,7 @@ func (g *Gateway) process(flush bool) {
 	}
 	if scanTo > g.scanned {
 		t0 := g.m.DetectTime.Start()
-		found := g.det.ScanDownchirpRange(src, g.scanned, scanTo)
+		found := g.scan(src, g.scanned, scanTo)
 		g.m.DetectTime.Since(t0)
 		for _, p := range found {
 			if g.known(p) {
@@ -443,12 +510,13 @@ func (g *Gateway) dispatch(src rx.SampleSource, p *rx.Packet, others []*rx.Packe
 	}
 	syms := make([]uint16, 0, p.NSymbols)
 	for s := 0; s < phy.HeaderSymbolCount; s++ {
-		syms = append(syms, g.hdrDM.DemodulateSymbol(src, p, s, others))
+		syms = append(syms, g.hdr.PickSymbol(src, p, s, others))
 	}
-	job.gates = g.hdrDM.TakeGateTally()
+	job.gates = takeGateTally(g.hdr)
 	hdr, ok := rx.HeaderFromSymbols(syms, fc.PHY)
 	if !ok {
 		g.m.HeaderFailures.Inc()
+		g.noteDispatched(p)
 		g.traceHeader(p, job.seq, false)
 		job.ready = true
 		g.m.DispatchTime.Since(t0)
@@ -461,6 +529,7 @@ func (g *Gateway) dispatch(src rx.SampleSource, p *rx.Packet, others []*rx.Packe
 	pcfg.HasCRC = hdr.HasCRC
 	p.NSymbols = phy.SymbolCount(pcfg, int(hdr.Length))
 	g.m.HeadersDecoded.Inc()
+	g.noteDispatched(p)
 	g.traceHeader(p, job.seq, true)
 
 	// Snapshot: a private clone of the packet and interferer geometry plus
@@ -490,6 +559,23 @@ func (g *Gateway) dispatch(src rx.SampleSource, p *rx.Packet, others []*rx.Packe
 	g.m.QueueDepth.Set(int64(len(g.jobs)))
 }
 
+// noteDispatched records a dispatched packet for Receiver's post-passes
+// (no-op unless keepDispatched is set).
+func (g *Gateway) noteDispatched(p *rx.Packet) {
+	if g.keepDispatched {
+		g.dispatched = append(g.dispatched, *p)
+	}
+}
+
+// takeGateTally drains a picker's per-packet gate verdicts; pickers that
+// keep none report zero.
+func takeGateTally(p rx.SymbolPicker) obs.GateCounts {
+	if gt, ok := p.(rx.GateTallier); ok {
+		return gt.TakeGateTally()
+	}
+	return obs.GateCounts{}
+}
+
 // traceHeader emits a header-stage trace event (no-op without a tracer).
 func (g *Gateway) traceHeader(p *rx.Packet, seq int64, ok bool) {
 	if g.tracer == nil {
@@ -507,25 +593,28 @@ func (g *Gateway) traceHeader(p *rx.Packet, seq int64, ok bool) {
 	})
 }
 
-// workerState is one pool worker's private arena: the demodulator plus
+// workerState is one pool worker's private arena: the symbol picker plus
 // the per-job scratch that the payload path reuses across packets. No
 // other goroutine touches it, so the steady-state decode loop performs no
 // cross-worker sharing and no per-symbol allocation.
 type workerState struct {
-	dm      *core.Demodulator
-	src     rx.MemorySource // per-job sample view (avoids a heap escape per packet)
-	altFlat []uint16        // backing store for all of one packet's ranked alternates
-	altIdx  [][]uint16      // per-symbol views into altFlat
+	picker  rx.SymbolPicker
+	alt     rx.AlternatePicker // picker's ranked-alternates form; nil if it has none
+	src     rx.MemorySource    // per-job sample view (avoids a heap escape per packet)
+	altFlat []uint16           // backing store for all of one packet's ranked alternates
+	altIdx  [][]uint16         // per-symbol views into altFlat
 }
 
-// worker demodulates payloads from the job queue with a private
-// demodulator and forwards results to the reorder stage.
-func (g *Gateway) worker(dm *core.Demodulator) {
+// worker demodulates payloads from the job queue with a private symbol
+// picker and forwards results to the reorder stage.
+func (g *Gateway) worker(picker rx.SymbolPicker) {
 	defer g.workerWG.Done()
 	// Alternate arenas are pre-sized for a typical payload (the caps are
 	// soft — a long packet grows them once and they stay grown).
+	alt, _ := picker.(rx.AlternatePicker)
 	ws := &workerState{
-		dm:      dm,
+		picker:  picker,
+		alt:     alt,
 		altFlat: make([]uint16, 0, 512),
 		altIdx:  make([][]uint16, 0, 128),
 	}
@@ -577,7 +666,7 @@ func (g *Gateway) runJob(ws *workerState, job decodeJob) {
 		t0 := g.m.DemodTime.Start()
 		pkt = g.decodePayload(ws, job)
 		g.m.DemodTime.Since(t0)
-		gates.Add(ws.dm.TakeGateTally())
+		gates.Add(takeGateTally(ws.picker))
 		nsyms = job.pkt.NSymbols
 		g.snapPool.Put(job.snapBuf)
 	}
@@ -597,10 +686,10 @@ func (g *Gateway) runJob(ws *workerState, job decodeJob) {
 	}
 }
 
-// decodePayload runs CIC payload demodulation for one dispatched packet,
-// including the pipeline's CRC-driven chase pass over ranked alternates.
-// The ranked alternates returned by the picker are its scratch, so they
-// are copied into the worker's flat arena before the next symbol.
+// decodePayload demodulates one dispatched packet's payload. With an
+// rx.AlternatePicker it also runs the CRC-driven chase pass over ranked
+// alternates; those are the picker's scratch, so they are copied into the
+// worker's flat arena before the next symbol.
 //
 //cic:hotpath
 func (g *Gateway) decodePayload(ws *workerState, job decodeJob) Packet {
@@ -611,14 +700,18 @@ func (g *Gateway) decodePayload(ws *workerState, job decodeJob) Packet {
 	ws.altFlat = ws.altFlat[:0]
 	ws.altIdx = ws.altIdx[:0]
 	for s := phy.HeaderSymbolCount; s < job.pkt.NSymbols; s++ {
-		ranked := ws.dm.PickSymbolAlternates(src, job.pkt, s, job.others)
+		if ws.alt == nil {
+			syms = append(syms, ws.picker.PickSymbol(src, job.pkt, s, job.others))
+			continue
+		}
+		ranked := ws.alt.PickSymbolAlternates(src, job.pkt, s, job.others)
 		syms = append(syms, ranked[0])
 		start := len(ws.altFlat)
 		ws.altFlat = append(ws.altFlat, ranked...)
 		ws.altIdx = append(ws.altIdx, ws.altFlat[start:len(ws.altFlat):len(ws.altFlat)])
 	}
 	dec, err := phy.Decode(syms, g.fcfg.PHY) //cic:alloc-ok: sanctioned per-packet boundary — the decoded payload escapes to the caller, so phy.Decode allocates it fresh
-	if err == nil && !dec.CRCOK {
+	if err == nil && !dec.CRCOK && ws.alt != nil {
 		if fixed, ok := rx.ChaseDecode(syms, ws.altIdx, g.fcfg.PHY); ok { //cic:alloc-ok: CRC-recovery cold path — runs only on checksum failure, off the steady-state budget
 			dec = fixed
 			g.m.ChaseRecovered.Inc()

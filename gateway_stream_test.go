@@ -60,45 +60,48 @@ func streamThrough(t testing.TB, cfg cic.Config, iq []complex128, rng *rand.Rand
 
 // TestGatewayStreamBatchParity: the same collision trace pushed through the
 // Gateway in random-sized chunks must yield the same payload set and order
-// as Receiver.DecodeBuffer, at any worker count.
+// as Receiver.DecodeBuffer, at any worker count, for every streaming
+// algorithm.
 func TestGatewayStreamBatchParity(t *testing.T) {
 	cfg := cic.DefaultConfig()
 	cfg.CodingRate = 3 // tolerate a marginal ±1-bin slip, as the batch tests do
 	iq, _ := streamTrace(t, cfg)
 
-	recv, err := cic.NewReceiver(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	batch, err := recv.DecodeBuffer(iq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want [][]byte
-	for _, p := range batch {
-		if p.OK {
-			want = append(want, p.Payload)
+	for _, algo := range []cic.Algorithm{cic.AlgorithmCIC, cic.AlgorithmChoir, cic.AlgorithmFTrack} {
+		recv, err := cic.NewReceiver(cfg, cic.WithAlgorithm(algo))
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if len(want) != 3 {
-		t.Fatalf("batch receiver decoded %d/3 packets", len(want))
-	}
-
-	for _, workers := range []int{1, 4} {
-		rng := rand.New(rand.NewSource(7))
-		all := streamThrough(t, cfg, iq, rng, cic.WithWorkers(workers))
-		var got [][]byte
-		for _, p := range all {
+		batch, err := recv.DecodeBuffer(iq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want [][]byte
+		for _, p := range batch {
 			if p.OK {
-				got = append(got, p.Payload)
+				want = append(want, p.Payload)
 			}
 		}
-		if len(got) != len(want) {
-			t.Fatalf("workers=%d: gateway decoded %d packets, batch %d", workers, len(got), len(want))
+		if len(want) == 0 || (algo == cic.AlgorithmCIC && len(want) != 3) {
+			t.Fatalf("%s: batch receiver decoded %d/3 packets", algo, len(want))
 		}
-		for i := range want {
-			if !bytes.Equal(got[i], want[i]) {
-				t.Errorf("workers=%d: packet %d payload %q, batch %q", workers, i, got[i], want[i])
+
+		for _, workers := range []int{1, 4} {
+			rng := rand.New(rand.NewSource(7))
+			all := streamThrough(t, cfg, iq, rng, cic.WithAlgorithm(algo), cic.WithWorkers(workers))
+			var got [][]byte
+			for _, p := range all {
+				if p.OK {
+					got = append(got, p.Payload)
+				}
+			}
+			if len(got) != len(want) {
+				t.Fatalf("%s workers=%d: gateway decoded %d packets, batch %d", algo, workers, len(got), len(want))
+			}
+			for i := range want {
+				if !bytes.Equal(got[i], want[i]) {
+					t.Errorf("%s workers=%d: packet %d payload %q, batch %q", algo, workers, i, got[i], want[i])
+				}
 			}
 		}
 	}

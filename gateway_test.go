@@ -2,6 +2,7 @@ package cic_test
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"cic"
@@ -139,11 +140,20 @@ func TestGatewayWriteAfterClose(t *testing.T) {
 }
 
 func TestGatewayRejectsBatchOnlyAlgorithms(t *testing.T) {
-	if _, err := cic.NewGateway(cic.DefaultConfig(), cic.WithAlgorithm(cic.AlgorithmFTrack)); err == nil {
-		t.Error("gateway accepted a batch-only algorithm")
+	_, err := cic.NewGateway(cic.DefaultConfig(), cic.WithAlgorithm(cic.AlgorithmLoRa))
+	if err == nil {
+		t.Fatal("gateway accepted the LoRa capture-lock receiver")
 	}
-	if _, err := cic.NewGateway(cic.DefaultConfig(), cic.WithAlgorithm(cic.AlgorithmStrawman)); err != nil {
-		t.Errorf("strawman gateway rejected: %v", err)
+	if !strings.Contains(err.Error(), "capture lock") {
+		t.Errorf("error %q does not name the capture lock", err)
+	}
+	for _, algo := range []cic.Algorithm{cic.AlgorithmStrawman, cic.AlgorithmChoir, cic.AlgorithmFTrack} {
+		gw, err := cic.NewGateway(cic.DefaultConfig(), cic.WithAlgorithm(algo))
+		if err != nil {
+			t.Errorf("%s gateway rejected: %v", algo, err)
+			continue
+		}
+		gw.Close()
 	}
 }
 
@@ -214,5 +224,47 @@ func TestGatewayRingWrap(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("packet past the ring wrap not decoded: %+v", all)
+	}
+}
+
+// TestGatewayHeaderFailure: a packet whose preamble survives but whose
+// header block is lost is still delivered, as an undecoded record at its
+// detected start, and counted as a header failure.
+func TestGatewayHeaderFailure(t *testing.T) {
+	cfg := cic.DefaultConfig()
+	src, err := cic.SimulateCollision(cfg, []cic.Emission{
+		{Payload: []byte("header lost in fade"), StartSample: 4096, SNR: 25, CFO: 900},
+	}, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	iq := append(cic.Samples(src), make([]complex128, 8*cfg.SamplesPerSymbol())...)
+	recv, err := cic.NewReceiver(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clean, err := recv.DecodeBuffer(iq)
+	if err != nil || len(clean) != 1 || !clean[0].OK {
+		t.Fatalf("clean decode: %+v, %v", clean, err)
+	}
+	// Blank the 8 header symbols that follow the 12.25-symbol preamble.
+	m := int64(cfg.SamplesPerSymbol())
+	hdr := clean[0].Start + 12*m + m/4
+	clear(iq[hdr : hdr+8*m])
+
+	reg := cic.NewMetrics()
+	recv, err = cic.NewReceiver(cfg, cic.WithMetrics(reg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := recv.DecodeBuffer(iq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1 || got[0].OK || got[0].Payload != nil || got[0].Start != clean[0].Start {
+		t.Fatalf("header-less packet delivered as %+v, want one undecoded record at %d", got, clean[0].Start)
+	}
+	if s := recv.Stats(); s.Counters["header_failures"] != 1 || s.Counters["headers_decoded"] != 0 {
+		t.Errorf("header counters %v", s.Counters)
 	}
 }

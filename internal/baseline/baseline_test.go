@@ -8,12 +8,10 @@ import (
 	"math/rand"
 	"testing"
 
-	"cic/internal/baseline/choir"
-	"cic/internal/baseline/ftrack"
+	"cic"
 	"cic/internal/baseline/stdlora"
 	"cic/internal/channel"
 	"cic/internal/chirp"
-	"cic/internal/core"
 	"cic/internal/frame"
 	"cic/internal/phy"
 	"cic/internal/rx"
@@ -51,32 +49,36 @@ func air(t *testing.T, cfg frame.Config, offsets []int64, snrs, cfos []float64, 
 	return rx.SourceFromRenderer(channel.NewRenderer(ems, cfg.Chirp.OSR, seed))
 }
 
-type receiver interface {
-	Name() string
-	Receive(rx.SampleSource) ([]rx.Decoded, error)
+// receiver is one baseline algorithm behind the repository's decode
+// driver (cic.Receiver streams every source through a cic.Gateway).
+type receiver struct {
+	name string
+	*cic.Receiver
 }
 
-func receivers(t *testing.T, cfg frame.Config) []receiver {
+func newReceiver(t *testing.T, name string, algo cic.Algorithm) receiver {
 	t.Helper()
-	std, err := stdlora.New(cfg, rx.DetectorOptions{}, 2)
+	r, err := cic.NewReceiver(cic.DefaultConfig(), cic.WithAlgorithm(algo), cic.WithWorkers(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch, err := choir.New(cfg, choir.Options{}, rx.DetectorOptions{}, 2)
-	if err != nil {
-		t.Fatal(err)
+	return receiver{name: name, Receiver: r}
+}
+
+func receivers(t *testing.T) []receiver {
+	t.Helper()
+	return []receiver{
+		newReceiver(t, "LoRa", cic.AlgorithmLoRa),
+		newReceiver(t, "Choir", cic.AlgorithmChoir),
+		newReceiver(t, "FTrack", cic.AlgorithmFTrack),
 	}
-	ft, err := ftrack.New(cfg, ftrack.Options{}, rx.DetectorOptions{}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return []receiver{std, ch, ft}
 }
 
 func TestNames(t *testing.T) {
-	for _, r := range receivers(t, testCfg()) {
-		if r.Name() == "" {
-			t.Error("empty receiver name")
+	want := map[string]cic.Algorithm{"LoRa": cic.AlgorithmLoRa, "Choir": cic.AlgorithmChoir, "FTrack": cic.AlgorithmFTrack}
+	for _, r := range receivers(t) {
+		if r.Algorithm() != want[r.name] {
+			t.Errorf("%s receiver runs algorithm %q", r.name, r.Algorithm())
 		}
 	}
 }
@@ -87,13 +89,13 @@ func TestAllReceiversDecodeCleanPacket(t *testing.T) {
 	cfg := testCfg()
 	payload := []byte("a clean, collision-free packet")
 	src := air(t, cfg, []int64{0}, []float64{25}, []float64{1800}, [][]byte{payload}, 1)
-	for _, r := range receivers(t, cfg) {
-		results, err := r.Receive(src)
+	for _, r := range receivers(t) {
+		results, err := r.DecodeSource(src)
 		if err != nil {
-			t.Fatalf("%s: %v", r.Name(), err)
+			t.Fatalf("%s: %v", r.name, err)
 		}
-		if len(results) != 1 || !results[0].OK() || !bytes.Equal(results[0].Payload, payload) {
-			t.Errorf("%s failed on a clean packet (%d results)", r.Name(), len(results))
+		if len(results) != 1 || !results[0].OK || !bytes.Equal(results[0].Payload, payload) {
+			t.Errorf("%s failed on a clean packet (%d results)", r.name, len(results))
 		}
 	}
 }
@@ -139,39 +141,31 @@ func TestCollisionComparison(t *testing.T) {
 			[]float64{2100, -3300},
 			[][]byte{p1, p2}, 3)
 	}
-	okCount := func(results []rx.Decoded) int {
+	okCount := func(r receiver) int {
+		results, err := r.DecodeSource(build())
+		if err != nil {
+			t.Fatalf("%s: %v", r.name, err)
+		}
 		n := 0
 		for _, res := range results {
-			if res.OK() && (bytes.Equal(res.Payload, p1) || bytes.Equal(res.Payload, p2)) {
+			if res.OK && (bytes.Equal(res.Payload, p1) || bytes.Equal(res.Payload, p2)) {
 				n++
 			}
 		}
 		return n
 	}
 
-	cicRecv, err := core.NewReceiver(cfg, core.Options{}, rx.DetectorOptions{}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cicResults, err := cicRecv.Receive(build())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cicOK := okCount(cicResults)
+	cicOK := okCount(newReceiver(t, "CIC", cic.AlgorithmCIC))
 	if cicOK != 2 {
 		t.Errorf("CIC decoded %d of 2", cicOK)
 	}
 
-	for _, r := range receivers(t, cfg) {
-		results, err := r.Receive(build())
-		if err != nil {
-			t.Fatalf("%s: %v", r.Name(), err)
-		}
-		n := okCount(results)
+	for _, r := range receivers(t) {
+		n := okCount(r)
 		if n > cicOK {
-			t.Errorf("%s decoded %d > CIC's %d", r.Name(), n, cicOK)
+			t.Errorf("%s decoded %d > CIC's %d", r.name, n, cicOK)
 		}
-		if r.Name() == "LoRa" && n > 1 {
+		if r.name == "LoRa" && n > 1 {
 			t.Errorf("standard LoRa decoded %d packets of an overlapping pair", n)
 		}
 	}
@@ -196,27 +190,20 @@ func TestFTrackLowSNRDegrades(t *testing.T) {
 				[]float64{1500, -2500},
 				[][]byte{p1, p2}, seed)
 		}
-		ft, _ := ftrack.New(cfg, ftrack.Options{}, rx.DetectorOptions{}, 2)
-		ftRes, err := ft.Receive(build())
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, res := range ftRes {
-			if res.OK() {
-				ftOK++
+		count := func(algo cic.Algorithm) int {
+			res, err := newReceiver(t, string(algo), algo).DecodeSource(build())
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		cic, _ := core.NewReceiver(cfg, core.Options{}, rx.DetectorOptions{}, 2)
-		cicRes, err := cic.Receive(build())
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, res := range cicRes {
-			if res.OK() {
-				cicOK++
+			n := 0
+			for _, p := range res {
+				if p.OK {
+					n++
+				}
 			}
+			return n
 		}
-		return
+		return count(cic.AlgorithmFTrack), count(cic.AlgorithmCIC)
 	}
 
 	// Aggregate over several noise realisations: the comparison is

@@ -17,62 +17,6 @@ import (
 // effect of commercial transceivers.
 const CaptureMarginDB = 6
 
-// Receiver is the standard LoRa gateway baseline.
-type Receiver struct {
-	cfg     frame.Config
-	detOpts rx.DetectorOptions
-	pl      *rx.Pipeline
-}
-
-// New builds the baseline receiver. workers <= 0 selects GOMAXPROCS.
-func New(cfg frame.Config, detOpts rx.DetectorOptions, workers int) (*Receiver, error) {
-	pl, err := rx.NewPipeline(cfg, func() (rx.SymbolPicker, error) {
-		return NewPicker(cfg)
-	}, workers)
-	if err != nil {
-		return nil, err
-	}
-	return &Receiver{cfg: cfg, detOpts: detOpts, pl: pl}, nil
-}
-
-// Name identifies the receiver in evaluation output.
-func (r *Receiver) Name() string { return "LoRa" }
-
-// Receive detects packets with the conventional up-chirp scan, applies the
-// single-receiver lock with capture, and decodes the survivors.
-func (r *Receiver) Receive(src rx.SampleSource) ([]rx.Decoded, error) {
-	det, err := rx.NewDetector(r.cfg, r.detOpts)
-	if err != nil {
-		return nil, err
-	}
-	pkts := det.ScanUpchirp(src)
-	return r.DecodeAll(src, pkts)
-}
-
-// DecodeAll decodes the detection set, then applies the capture lock using
-// the header-derived packet lengths (a real gateway knows a packet's
-// airtime once its header arrives, and holds the lock that long). The
-// argmax picker is interference-blind, so decoding before filtering yields
-// the same per-packet symbols a locked receiver would see.
-func (r *Receiver) DecodeAll(src rx.SampleSource, pkts []*rx.Packet) ([]rx.Decoded, error) {
-	results, err := r.pl.DecodeAll(src, pkts)
-	if err != nil {
-		return nil, err
-	}
-	locked := CaptureFilter(r.cfg, pkts)
-	keep := make(map[*rx.Packet]bool, len(locked))
-	for _, p := range locked {
-		keep[p] = true
-	}
-	out := results[:0]
-	for _, res := range results {
-		if keep[res.Packet] {
-			out = append(out, res)
-		}
-	}
-	return out, nil
-}
-
 // CaptureFilter models the standard gateway's single demodulator: packets
 // are taken in arrival order; a packet arriving while another is being
 // received is dropped unless its preamble is at least CaptureMarginDB
@@ -127,7 +71,7 @@ func (p *Picker) PickSymbol(src rx.SampleSource, pkt *rx.Packet, symIdx int, _ [
 }
 
 // PickSymbolAlternates implements rx.AlternatePicker: the strongest folded
-// peaks in descending power order, so the pipeline's CRC-driven chase pass
+// peaks in descending power order, so the gateway's CRC-driven chase pass
 // treats the baseline with the same decoder-side machinery as CIC.
 func (p *Picker) PickSymbolAlternates(src rx.SampleSource, pkt *rx.Packet, symIdx int, _ []*rx.Packet) []uint16 {
 	p.d.LoadWindow(src, pkt.SymbolStart(p.d.Config(), symIdx), pkt.CFOHz)

@@ -90,7 +90,7 @@ func (dm *Demodulator) Options() Options { return dm.opts }
 
 // TakeGateTally returns the gate verdicts accumulated since the previous
 // call and resets the tally. Callers decoding one packet per demodulator
-// pass (the gateway workers, the batch pipeline) use it to attribute gate
+// pass (the gateway's header stage and workers) use it to attribute gate
 // activity to individual packets.
 func (dm *Demodulator) TakeGateTally() obs.GateCounts {
 	t := dm.tally
@@ -218,7 +218,7 @@ func (dm *Demodulator) PickSymbol(src rx.SampleSource, pkt *rx.Packet, symIdx in
 }
 
 // PickSymbolAlternates implements rx.AlternatePicker: it returns the
-// surviving candidates' symbol values best-first, so the pipeline's
+// surviving candidates' symbol values best-first, so the gateway's
 // CRC-driven chase pass can retry the runner-up on marginal symbols.
 // The returned slice is demodulator scratch, valid only until the next
 // PickSymbolAlternates call (per the rx.AlternatePicker contract);
@@ -819,13 +819,7 @@ func (dm *Demodulator) selectBySED(cands []Candidate) Candidate {
 	nBins := dm.cfg.Chirp.ChipCount()
 	for i := range cands {
 		b := cands[i].Value(nBins)
-		sed := math.Abs(dm.rh[b] - dm.lh[b])
-		if dm.opts.RelativeSED {
-			if tot := dm.rh[b] + dm.lh[b]; tot > 0 {
-				sed /= tot
-			}
-		}
-		cands[i].SED = sed
+		cands[i].SED = math.Abs(dm.rh[b] - dm.lh[b])
 		if score := dm.candidateScore(cands[i]); score < bestScore {
 			bestScore = score
 			best = cands[i]

@@ -330,53 +330,6 @@ func TestTemporalProximityFigure(t *testing.T) {
 	}
 }
 
-// TestThroughputComparative is the headline regression: in D1 at high load,
-// CIC must beat FTrack and standard LoRa (Figs 28).
-func TestThroughputComparative(t *testing.T) {
-	if testing.Short() {
-		t.Skip("heavy")
-	}
-	cfg := quickConfig()
-	cfg.Rates = []float64{40}
-	cfg.Duration = 1.5
-	fig, err := Throughput(cfg, sim.D1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	y := map[string]float64{}
-	for _, s := range fig.Series {
-		y[s.Name] = s.Y[0]
-	}
-	if y["CIC"] <= y["LoRa"] {
-		t.Errorf("CIC %.1f <= LoRa %.1f at 40 pkts/s", y["CIC"], y["LoRa"])
-	}
-	if y["CIC"] <= y["FTrack"] {
-		t.Errorf("CIC %.1f <= FTrack %.1f at 40 pkts/s", y["CIC"], y["FTrack"])
-	}
-	if y["CIC"] <= 0 {
-		t.Error("CIC decoded nothing")
-	}
-}
-
-func TestDetectionComparative(t *testing.T) {
-	if testing.Short() {
-		t.Skip("heavy")
-	}
-	cfg := quickConfig()
-	cfg.Rates = []float64{60}
-	fig, err := Detection(cfg, sim.D1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	y := map[string]float64{}
-	for _, s := range fig.Series {
-		y[s.Name] = s.Y[0]
-	}
-	if y["CIC"] < y["LoRa"] {
-		t.Errorf("CIC detection %.2f < locked LoRa %.2f", y["CIC"], y["LoRa"])
-	}
-}
-
 func TestICSSComparisonFigure(t *testing.T) {
 	if testing.Short() {
 		t.Skip("heavy")

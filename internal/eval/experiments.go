@@ -5,12 +5,12 @@ import (
 	"math"
 	"math/rand"
 
+	"cic"
 	"cic/internal/channel"
 	"cic/internal/chirp"
 	"cic/internal/core"
 	"cic/internal/dsp"
 	"cic/internal/frame"
-	"cic/internal/obs"
 	"cic/internal/phy"
 	"cic/internal/rx"
 	"cic/internal/sim"
@@ -28,12 +28,6 @@ type Config struct {
 	PayloadLen int
 	Seed       int64
 	Workers    int
-
-	// Metrics, when non-nil, collects decode-pipeline metrics from the CIC
-	// receiver across every experiment run (the baselines are not
-	// instrumented). cmd/cic-experiments serves it behind -debug-addr and
-	// prints the decode-latency summary from it.
-	Metrics *obs.Registry
 }
 
 // DefaultConfig returns the paper-matching configuration.
@@ -52,99 +46,6 @@ func DefaultConfig() Config {
 	}
 }
 
-// figNumbers maps a deployment to its throughput/detection figure ids.
-var throughputFig = map[string]string{"D1": "fig28", "D2": "fig29", "D3": "fig30", "D4": "fig31"}
-var detectionFig = map[string]string{"D1": "fig32", "D2": "fig33", "D3": "fig34", "D4": "fig35"}
-
-// Throughput regenerates Figs 28–31: decoded packets/second vs offered
-// load for CIC, FTrack, Choir and standard LoRa in one deployment.
-func Throughput(cfg Config, dep sim.Deployment) (Figure, error) {
-	receivers, err := DefaultReceiversObserved(cfg.Frame, cfg.Workers, obs.NewDecodeMetrics(cfg.Metrics))
-	if err != nil {
-		return Figure{}, err
-	}
-	fig := Figure{
-		ID:     throughputFig[dep.Name],
-		Title:  fmt.Sprintf("Network Capacity for %s (%s)", dep.Name, dep.Label),
-		XLabel: "offered pkts/s",
-		YLabel: "decoded pkts/s",
-	}
-	series := make([]Series, len(receivers))
-	for i, r := range receivers {
-		series[i].Name = r.Name()
-	}
-	nw, err := sim.NewNetwork(cfg.Frame, dep, cfg.Seed)
-	if err != nil {
-		return Figure{}, err
-	}
-	for ri, rate := range cfg.Rates {
-		run, err := nw.BuildRun(rate, cfg.Duration, cfg.PayloadLen, cfg.Seed+int64(ri)*101)
-		if err != nil {
-			return Figure{}, err
-		}
-		for i, r := range receivers {
-			results, err := r.Receive(run.Source)
-			if err != nil {
-				return Figure{}, err
-			}
-			score := sim.ScoreDecodes(run, results, cfg.Duration)
-			series[i].X = append(series[i].X, rate)
-			series[i].Y = append(series[i].Y, score.Throughput())
-		}
-	}
-	fig.Series = series
-	return fig, nil
-}
-
-// Detection regenerates Figs 32–35: the fraction of transmitted packets
-// whose preamble is found, comparing CIC's down-chirp scan with the
-// conventional up-chirp scan (FTrack) and the locked single receiver
-// (standard LoRa).
-func Detection(cfg Config, dep sim.Deployment) (Figure, error) {
-	det, err := rx.NewDetector(cfg.Frame, rx.DetectorOptions{Metrics: obs.NewDecodeMetrics(cfg.Metrics)})
-	if err != nil {
-		return Figure{}, err
-	}
-	// FTrack's preamble search keeps multiple candidate peaks per window.
-	detFT, err := rx.NewDetector(cfg.Frame, rx.DetectorOptions{UpchirpTopK: 3})
-	if err != nil {
-		return Figure{}, err
-	}
-	fig := Figure{
-		ID:     detectionFig[dep.Name],
-		Title:  fmt.Sprintf("Packet Detection for %s (%s)", dep.Name, dep.Label),
-		XLabel: "offered pkts/s",
-		YLabel: "detection rate",
-	}
-	series := []Series{{Name: "CIC"}, {Name: "FTrack"}, {Name: "LoRa"}}
-	nw, err := sim.NewNetwork(cfg.Frame, dep, cfg.Seed)
-	if err != nil {
-		return Figure{}, err
-	}
-	for ri, rate := range cfg.Rates {
-		run, err := nw.BuildRun(rate, cfg.Duration, cfg.PayloadLen, cfg.Seed+int64(ri)*101)
-		if err != nil {
-			return Figure{}, err
-		}
-		down := det.ScanDownchirp(run.Source)
-		upFT := detFT.ScanUpchirp(run.Source)
-		up := det.ScanUpchirp(run.Source)
-		// Standard LoRa detects with up-chirps but holds a single-packet
-		// lock, so overlapped packets are never even received.
-		upForLock := clonePackets(up)
-		setLengths(cfg.Frame, cfg.PayloadLen, upForLock)
-		locked := captureFilterForEval(cfg.Frame, upForLock)
-
-		for i, pkts := range [][]*rx.Packet{down, upFT, locked} {
-			score := sim.ScoreDetections(run, pkts, cfg.Duration)
-			series[i].X = append(series[i].X, rate)
-			series[i].Y = append(series[i].Y, score.DetectionRate())
-		}
-	}
-	fig.Series = series
-	return fig, nil
-}
-
 // clonePackets copies tracked packets so filters can mutate lengths.
 func clonePackets(pkts []*rx.Packet) []*rx.Packet {
 	out := make([]*rx.Packet, len(pkts))
@@ -161,30 +62,6 @@ func setLengths(cfg frame.Config, payloadLen int, pkts []*rx.Packet) {
 	for _, p := range pkts {
 		p.NSymbols = n
 	}
-}
-
-// captureFilterForEval mirrors stdlora.CaptureFilter without importing it
-// (avoiding an eval→baseline→eval cycle risk); kept in sync by a test.
-func captureFilterForEval(cfg frame.Config, pkts []*rx.Packet) []*rx.Packet {
-	margin := dsp.AmplitudeFromDB(6)
-	var out []*rx.Packet
-	var cur *rx.Packet
-	for _, p := range pkts {
-		if cur == nil || p.Start >= cur.End(cfg) {
-			if cur != nil {
-				out = append(out, cur)
-			}
-			cur = p
-			continue
-		}
-		if p.PeakAmp > cur.PeakAmp*margin {
-			cur = p
-		}
-	}
-	if cur != nil {
-		out = append(out, cur)
-	}
-	return out
 }
 
 // Ablation regenerates Figs 36–37: throughput for the four CIC feature
@@ -739,10 +616,10 @@ func SpectraDemo(cfg Config) (Figure, error) {
 func ICSSComparison(cfg Config, dep sim.Deployment) (Figure, error) {
 	variants := []struct {
 		name string
-		opts core.Options
+		algo cic.Algorithm
 	}{
-		{"CIC (optimal ICSS)", core.Options{}},
-		{"Strawman-CIC", core.Options{Strawman: true}},
+		{"CIC (optimal ICSS)", cic.AlgorithmCIC},
+		{"Strawman-CIC", cic.AlgorithmStrawman},
 	}
 	fig := Figure{
 		ID:     "icss",
@@ -764,7 +641,7 @@ func ICSSComparison(cfg Config, dep sim.Deployment) (Figure, error) {
 			return Figure{}, err
 		}
 		for i, v := range variants {
-			recv, err := core.NewReceiver(cfg.Frame, v.opts, rx.DetectorOptions{}, cfg.Workers)
+			recv, err := newReceiver(cfg.Frame, cfg.Workers, v.name, cic.WithAlgorithm(v.algo))
 			if err != nil {
 				return Figure{}, err
 			}

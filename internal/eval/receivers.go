@@ -3,19 +3,40 @@ package eval
 import (
 	"fmt"
 
-	"cic/internal/baseline/choir"
-	"cic/internal/baseline/ftrack"
+	"cic"
 	"cic/internal/baseline/stdlora"
-	"cic/internal/core"
 	"cic/internal/frame"
 	"cic/internal/obs"
 	"cic/internal/rx"
 )
 
-// Receiver is the common surface every evaluated gateway implements.
-type Receiver interface {
-	Name() string
-	Receive(src rx.SampleSource) ([]rx.Decoded, error)
+// Receiver is one evaluated gateway: a cic.Receiver under its figure name.
+type Receiver struct {
+	name string
+	r    *cic.Receiver
+}
+
+// Name identifies the receiver in evaluation output.
+func (r Receiver) Name() string { return r.name }
+
+// Receive decodes every packet in the source and returns the records in
+// the scoring form.
+func (r Receiver) Receive(src rx.SampleSource) ([]rx.Decoded, error) {
+	pkts, err := r.r.DecodeSource(src)
+	if err != nil {
+		return nil, fmt.Errorf("eval: %s: %w", r.name, err)
+	}
+	out := make([]rx.Decoded, len(pkts))
+	for i, p := range pkts {
+		out[i] = rx.Decoded{
+			Packet:       &rx.Packet{Start: p.Start, CFOHz: p.CFO, SNRdB: p.SNR},
+			HeaderOK:     p.OK,
+			CRCOK:        p.OK,
+			Payload:      p.Payload,
+			FECCorrected: p.FECCorrected,
+		}
+	}
+	return out, nil
 }
 
 // DefaultReceivers builds the four receivers the paper compares:
@@ -25,95 +46,83 @@ func DefaultReceivers(cfg frame.Config, workers int) ([]Receiver, error) {
 }
 
 // DefaultReceiversObserved is DefaultReceivers with the CIC receiver's
-// decode stages instrumented on m (nil m disables instrumentation). Only
-// the CIC receiver is instrumented — it is the receiver under study; the
-// baselines exist for comparison curves.
-func DefaultReceiversObserved(cfg frame.Config, workers int, m *obs.DecodeMetrics) ([]Receiver, error) {
-	cic, err := core.NewReceiver(cfg, core.Options{Metrics: m}, rx.DetectorOptions{Metrics: m}, workers)
-	if err != nil {
-		return nil, fmt.Errorf("eval: CIC receiver: %w", err)
-	}
-	ft, err := ftrack.New(cfg, ftrack.Options{}, rx.DetectorOptions{}, workers)
-	if err != nil {
-		return nil, fmt.Errorf("eval: FTrack receiver: %w", err)
-	}
-	ch, err := choir.New(cfg, choir.Options{}, rx.DetectorOptions{}, workers)
-	if err != nil {
-		return nil, fmt.Errorf("eval: Choir receiver: %w", err)
-	}
-	std, err := stdlora.New(cfg, rx.DetectorOptions{}, workers)
-	if err != nil {
-		return nil, fmt.Errorf("eval: LoRa receiver: %w", err)
-	}
-	return []Receiver{cic, ft, ch, std}, nil
-}
-
-// CICVariants builds the four ablation variants of Figs 36–37.
-func CICVariants(cfg frame.Config, workers int) (map[string]Receiver, error) {
-	variants := map[string]core.Options{
-		"CIC":             {},
-		"CIC-(CFO)":       {DisableCFOFilter: true},
-		"CIC-(Power)":     {DisablePowerFilter: true},
-		"CIC-(Power,CFO)": {DisableCFOFilter: true, DisablePowerFilter: true},
-	}
-	out := make(map[string]Receiver, len(variants))
-	for name, opts := range variants {
-		r, err := core.NewReceiver(cfg, opts, rx.DetectorOptions{}, workers)
+// decode stages instrumented on reg (nil reg disables instrumentation).
+// Only the CIC receiver is instrumented — it is the receiver under study;
+// the baselines exist for comparison curves.
+func DefaultReceiversObserved(cfg frame.Config, workers int, reg *obs.Registry) ([]Receiver, error) {
+	out := make([]Receiver, 0, len(ReceiverNames()))
+	for _, name := range ReceiverNames() {
+		r, err := ReceiverByName(cfg, workers, name, reg)
 		if err != nil {
 			return nil, err
 		}
-		out[name] = namedReceiver{name: name, Receiver: r}
+		out = append(out, r)
 	}
 	return out, nil
 }
 
-// namedReceiver overrides the display name of a wrapped receiver.
-type namedReceiver struct {
-	Receiver
-	name string
+// CICVariants builds the four ablation variants of Figs 36–37.
+func CICVariants(cfg frame.Config, workers int) (map[string]Receiver, error) {
+	out := make(map[string]Receiver, 4)
+	for _, name := range []string{"CIC", "CIC-(CFO)", "CIC-(Power)", "CIC-(Power,CFO)"} {
+		r, err := ReceiverByName(cfg, workers, name, nil)
+		if err != nil {
+			return nil, err
+		}
+		out[name] = r
+	}
+	return out, nil
 }
-
-func (n namedReceiver) Name() string { return n.name }
 
 // ReceiverNames lists the receivers ReceiverByName can build, in the
 // paper's comparison order.
 func ReceiverNames() []string { return []string{"CIC", "FTrack", "Choir", "LoRa"} }
 
+// receiverOptions maps every ReceiverByName name to its cic options.
+var receiverOptions = map[string][]cic.Option{
+	"CIC":             nil,
+	"CIC-(CFO)":       {cic.WithoutCFOFilter()},
+	"CIC-(Power)":     {cic.WithoutPowerFilter()},
+	"CIC-(Power,CFO)": {cic.WithoutCFOFilter(), cic.WithoutPowerFilter()},
+	"FTrack":          {cic.WithAlgorithm(cic.AlgorithmFTrack)},
+	"Choir":           {cic.WithAlgorithm(cic.AlgorithmChoir)},
+	"LoRa":            {cic.WithAlgorithm(cic.AlgorithmLoRa)},
+}
+
 // ReceiverByName builds a single named receiver from the paper's
 // comparison set ("CIC", "FTrack", "Choir", "LoRa") or the CIC ablation
 // variants of Figs 36–37 ("CIC-(CFO)", "CIC-(Power)", "CIC-(Power,CFO)").
 // The experiment harness uses this so a config can declare any subset.
-func ReceiverByName(cfg frame.Config, workers int, name string, m *obs.DecodeMetrics) (Receiver, error) {
-	switch name {
-	case "CIC":
-		return core.NewReceiver(cfg, core.Options{Metrics: m}, rx.DetectorOptions{Metrics: m}, workers)
-	case "CIC-(CFO)":
-		r, err := core.NewReceiver(cfg, core.Options{DisableCFOFilter: true}, rx.DetectorOptions{}, workers)
-		if err != nil {
-			return nil, err
-		}
-		return namedReceiver{Receiver: r, name: name}, nil
-	case "CIC-(Power)":
-		r, err := core.NewReceiver(cfg, core.Options{DisablePowerFilter: true}, rx.DetectorOptions{}, workers)
-		if err != nil {
-			return nil, err
-		}
-		return namedReceiver{Receiver: r, name: name}, nil
-	case "CIC-(Power,CFO)":
-		r, err := core.NewReceiver(cfg, core.Options{DisableCFOFilter: true, DisablePowerFilter: true}, rx.DetectorOptions{}, workers)
-		if err != nil {
-			return nil, err
-		}
-		return namedReceiver{Receiver: r, name: name}, nil
-	case "FTrack":
-		return ftrack.New(cfg, ftrack.Options{}, rx.DetectorOptions{}, workers)
-	case "Choir":
-		return choir.New(cfg, choir.Options{}, rx.DetectorOptions{}, workers)
-	case "LoRa":
-		return stdlora.New(cfg, rx.DetectorOptions{}, workers)
-	default:
-		return nil, fmt.Errorf("eval: unknown receiver %q (want one of CIC, FTrack, Choir, LoRa, or a CIC ablation variant)", name)
+// reg, when non-nil, instruments the "CIC" receiver.
+func ReceiverByName(cfg frame.Config, workers int, name string, reg *obs.Registry) (Receiver, error) {
+	opts, ok := receiverOptions[name]
+	if !ok {
+		return Receiver{}, fmt.Errorf("eval: unknown receiver %q (want one of CIC, FTrack, Choir, LoRa, or a CIC ablation variant)", name)
 	}
+	if name == "CIC" && reg != nil {
+		opts = []cic.Option{cic.WithMetrics(reg)}
+	}
+	return newReceiver(cfg, workers, name, opts...)
+}
+
+// newReceiver builds a cic.Receiver for a frame configuration.
+func newReceiver(fc frame.Config, workers int, name string, opts ...cic.Option) (Receiver, error) {
+	cfg := cic.Config{
+		SpreadingFactor: fc.Chirp.SF,
+		Bandwidth:       fc.Chirp.Bandwidth,
+		Oversampling:    fc.Chirp.OSR,
+		CodingRate:      int(fc.PHY.CR),
+		PayloadCRC:      fc.PHY.HasCRC,
+		LowDataRate:     fc.PHY.LowDataRate,
+		ImplicitHeader:  fc.PHY.ImplicitHeader,
+		ImplicitLength:  fc.PHY.ImplicitLength,
+		SyncWord:        fc.SyncWord,
+	}
+	r, err := cic.NewReceiver(cfg, append([]cic.Option{cic.WithWorkers(workers)}, opts...)...)
+	if err != nil {
+		return Receiver{}, fmt.Errorf("eval: %s receiver: %w", name, err)
+	}
+	return Receiver{name: name, r: r}, nil
 }
 
 // DetectionScanner is a named preamble-detection strategy: the unit the
@@ -143,7 +152,7 @@ func DetectionScanners(cfg frame.Config, payloadLen int) ([]DetectionScanner, er
 		{Name: "LoRa", Scan: func(src rx.SampleSource) []*rx.Packet {
 			up := clonePackets(det.ScanUpchirp(src))
 			setLengths(cfg, payloadLen, up)
-			return captureFilterForEval(cfg, up)
+			return stdlora.CaptureFilter(cfg, up)
 		}},
 	}, nil
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"cic/internal/eval"
+	"cic/internal/obs"
 	"cic/internal/rx"
 	"cic/internal/sim"
 )
@@ -11,7 +12,7 @@ import (
 // Drive modes.
 const (
 	// DriveInProcess scores every receiver in this process against the
-	// rendered run (the batch pipeline the legacy figures used).
+	// rendered run, each streaming it through its own cic.Gateway.
 	DriveInProcess = "inprocess"
 	// DriveGatewayd streams the CIC receiver's IQ through a cic-gatewayd
 	// over TCP (server.ReconnectingClient) and scores the daemon's NDJSON
@@ -53,8 +54,9 @@ func prr(s sim.Score) float64 {
 	return float64(s.Decoded) / float64(s.Offered)
 }
 
-// runTrialInProcess executes one trial entirely in this process.
-func runTrialInProcess(cfg *Config, t Trial) (map[string]ReceiverScore, error) {
+// runTrialInProcess executes one trial entirely in this process. reg,
+// when non-nil, instruments the CIC receiver's decode stages.
+func runTrialInProcess(cfg *Config, t Trial, reg *obs.Registry) (map[string]ReceiverScore, error) {
 	run, err := buildRun(cfg, t)
 	if err != nil {
 		return nil, fmt.Errorf("experiment: trial %s: %w", t.Key, err)
@@ -72,7 +74,7 @@ func runTrialInProcess(cfg *Config, t Trial) (map[string]ReceiverScore, error) {
 		return out, nil
 	}
 	for _, name := range cfg.ReceiverNames() {
-		recv, err := eval.ReceiverByName(cfg.FrameConfig(), cfg.Workers, name, nil)
+		recv, err := eval.ReceiverByName(cfg.FrameConfig(), cfg.Workers, name, reg)
 		if err != nil {
 			return nil, fmt.Errorf("experiment: trial %s: %w", t.Key, err)
 		}

@@ -457,7 +457,7 @@ func TestRunRejectsBadOptions(t *testing.T) {
 	if _, err := Aggregate(fig, nil); err == nil {
 		t.Error("figure config accepted by aggregator")
 	}
-	if _, err := Figures(cfg, nil); err == nil {
+	if _, err := Figures(cfg); err == nil {
 		t.Error("sweep config accepted by figure dispatch")
 	}
 }
@@ -496,7 +496,7 @@ func TestFiguresDispatch(t *testing.T) {
 		"deployments": [{"base":"D1"},{"base":"D2"},{"base":"D3"},{"base":"D4"}],
 		"seeds": {"base": 1}
 	}`)
-	figs, err := Figures(cfg, nil)
+	figs, err := Figures(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,7 +31,8 @@ type RunnerOptions struct {
 	// mid-matrix" in resume tests; the return signals the matrix is
 	// incomplete.
 	StopAfter int
-	// Metrics, when non-nil, receives the experiment_* metrics.
+	// Metrics, when non-nil, receives the experiment_* metrics and, for
+	// in-process drives, the CIC receiver's decode metrics.
 	Metrics *obs.Registry
 	// Log, when non-nil, receives per-trial progress.
 	Log *slog.Logger
@@ -173,7 +174,7 @@ func Run(ctx context.Context, cfg *Config, opts RunnerOptions) (*RunResult, erro
 				if opts.Drive == DriveGatewayd {
 					scores, recs, err = runTrialGatewayd(cfg, t, opts.Gatewayd)
 				} else {
-					scores, err = runTrialInProcess(cfg, t)
+					scores, err = runTrialInProcess(cfg, t, opts.Metrics)
 				}
 				elapsed := obs.Since(begin)
 				if err != nil {

@@ -114,6 +114,14 @@ type Detector struct {
 	ampsBuf  []float64
 	snrsBuf  []float64
 	want     []int // expected preamble+SYNC symbol values (constant per cfg)
+
+	// Up-chirp scan state carried between ScanUpchirpRange calls: the last
+	// UpchirpRun windows' kept peaks (each window owns its peak slice, reused
+	// once the window ages out) and the end of the previous range, so a
+	// chunked scan sees the same window runs as a whole-span scan.
+	upHist []upWindow
+	upEnd  int64
+	upLive bool
 }
 
 // NewDetector builds a Detector.
@@ -150,6 +158,7 @@ func NewDetector(cfg frame.Config, opts DetectorOptions) (*Detector, error) {
 		ampsBuf:  make([]float64, 0, len(want)),
 		snrsBuf:  make([]float64, 0, len(want)),
 		want:     want,
+		upHist:   make([]upWindow, 0, opts.UpchirpRun),
 	}, nil
 }
 
@@ -255,23 +264,37 @@ type upWindow struct {
 // fixed). Under collisions, data symbols from concurrent packets clutter
 // the per-window peaks (Fig 19) — the failure mode Figs 32–35 measure.
 func (det *Detector) ScanUpchirp(src SampleSource) []*Packet {
+	det.upLive = false
 	start, end := src.Span()
 	return det.ScanUpchirpRange(src, start, end)
 }
 
 // ScanUpchirpRange is ScanUpchirp restricted to window positions in
-// [start, end).
+// [start-M, end), on the global symbol grid (window positions are
+// multiples of M). A call whose start equals the previous call's end
+// continues that scan: its window history carries over, so any split of a
+// span into consecutive ranges visits the same windows and finds the same
+// runs as one whole-span scan. Each run found reads up to about ten
+// symbols past its last window (the bounded down-chirp search plus
+// synchronisation and ±1-symbol verification around the anchor), so a
+// streaming caller keeps end that far behind the newest sample.
 func (det *Detector) ScanUpchirpRange(src SampleSource, start, end int64) []*Packet {
-	m := det.cfg.Chirp.SamplesPerSymbol()
+	m := int64(det.cfg.Chirp.SamplesPerSymbol())
 	n := det.cfg.Chirp.ChipCount()
 	fft := det.d.FFT()
 	gen := det.d.Generator()
 
-	var history []upWindow
+	first := floorTo(start-m, m)
+	if det.upLive && start == det.upEnd {
+		first = floorTo(start+m-1, m) // the first window the last call did not visit
+	} else {
+		det.upHist = det.upHist[:0]
+	}
+	det.upLive, det.upEnd = true, end
 	cands := det.candsBuf[:0]
 	run := det.opts.UpchirpRun
 
-	for p := start - int64(m); p < end; p += int64(m) {
+	for p := first; p < end; p += m {
 		det.opts.Metrics.DetectWindows.Inc()
 		src.Read(det.win, p)
 		gen.Dechirp(det.dd, det.win)
@@ -287,26 +310,49 @@ func (det *Detector) ScanUpchirpRange(src SampleSource, start, end int64) []*Pac
 				kept = append(kept, pk)
 			}
 		}
-		// The per-window history copy allocates; the conventional scan is
-		// a comparison baseline, not the streaming hot path.
-		history = append(history, upWindow{pos: p, peaks: append([]dsp.Peak(nil), kept...)})
-		if len(history) < run {
+		det.pushUpWindow(p, kept)
+		if len(det.upHist) < run {
 			continue
 		}
-		tail := history[len(history)-run:]
-		if _, ok := consistentBin(tail, n); ok {
+		if _, ok := consistentBin(det.upHist, n); ok {
 			// The run's final window sits inside the preamble; the
 			// down-chirp region follows within the next few symbols.
 			// Localise it with a bounded down-chirp search, as a real
 			// receiver uses the SFD for fine sync.
 			if anchor, ok := det.localDownchirp(src, p, 6); ok {
 				cands = append(cands, anchor)
-				history = history[:0] // avoid re-triggering on this run
+				det.upHist = det.upHist[:0] // avoid re-triggering on this run
 			}
 		}
 	}
 	det.candsBuf = cands
 	return det.resolveCandidates(src, cands)
+}
+
+// pushUpWindow appends one window's kept peaks to the run history,
+// dropping the oldest window once UpchirpRun are held.
+func (det *Detector) pushUpWindow(pos int64, kept []dsp.Peak) {
+	h := det.upHist
+	var w upWindow
+	if len(h) == cap(h) {
+		w = h[0]
+		copy(h, h[1:])
+		h = h[:len(h)-1]
+	} else {
+		w = h[:len(h)+1][len(h)] // reuse a retired window's peak slice
+	}
+	w.pos = pos
+	w.peaks = append(w.peaks[:0], kept...)
+	det.upHist = append(h, w)
+}
+
+// floorTo rounds x down to a multiple of step (step > 0).
+func floorTo(x, step int64) int64 {
+	r := x % step
+	if r < 0 {
+		r += step
+	}
+	return x - r
 }
 
 // consistentBin reports whether every window in the run shares a peak bin

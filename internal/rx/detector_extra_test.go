@@ -198,3 +198,71 @@ func TestDownchirpBeatsUpchirpUnderCollision(t *testing.T) {
 		t.Errorf("down-chirp scan found only %d of 4 overlapping packets", down)
 	}
 }
+
+// TestScanUpchirpRangeChunked: scanning a span as consecutive ranges —
+// each trailing the newest sample by ten symbols, as a streaming gateway
+// does — finds exactly the packets of one whole-span scan, at TopK 1 and 3
+// and for chunks shorter and longer than a preamble.
+func TestScanUpchirpRangeChunked(t *testing.T) {
+	cfg := testCfg()
+	mod, err := frame.NewModulator(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := int64(cfg.Chirp.SamplesPerSymbol())
+	var ems []channel.Emission
+	for i, start := range []int64{3000, 3000 + 17*m + 401, 3000 + 60*m + 33, 3000 + 71*m + 700, 3000 + 130*m + 5} {
+		wave, _, err := mod.Modulate([]byte("chunked up-chirp scan"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ems = append(ems, channel.Emission{Start: start, Samples: channel.Apply(wave, channel.Impairments{
+			Amplitude:  channel.AmplitudeForSNR(18 + 3*float64(i)),
+			CFOHz:      float64(i*1700 - 3500),
+			SampleRate: cfg.Chirp.SampleRate(),
+		})})
+	}
+	src := &boundedSource{rendererSource{channel.NewRenderer(ems, cfg.Chirp.OSR, 9)}, 0, 3000 + 200*m}
+	_, end := src.Span()
+	for _, topK := range []int{1, 3} {
+		det, err := NewDetector(cfg, DetectorOptions{UpchirpTopK: topK})
+		if err != nil {
+			t.Fatal(err)
+		}
+		whole := det.ScanUpchirp(src)
+		if len(whole) < 3 {
+			t.Fatalf("topK=%d: whole-span scan found %d packets", topK, len(whole))
+		}
+		for _, chunk := range []int64{m/2 + 3, 4 * m, 16 * m, 64 * m} {
+			var got []*Packet
+			scanned := int64(0)
+			for written := chunk; scanned < end; written += chunk {
+				to := written - 10*m
+				if written >= end {
+					to = end
+				}
+				if to <= scanned {
+					continue
+				}
+			found:
+				for _, p := range det.ScanUpchirpRange(src, scanned, to) {
+					for _, q := range got {
+						if abs64(p.Start-q.Start) < m/2 {
+							continue found
+						}
+					}
+					got = append(got, p)
+				}
+				scanned = to
+			}
+			if len(got) != len(whole) {
+				t.Fatalf("topK=%d chunk=%d: %d packets, whole-span %d", topK, chunk, len(got), len(whole))
+			}
+			for i := range whole {
+				if got[i].Start != whole[i].Start || got[i].CFOHz != whole[i].CFOHz || got[i].PeakAmp != whole[i].PeakAmp {
+					t.Errorf("topK=%d chunk=%d: packet %d = %v, whole-span %v", topK, chunk, i, got[i], whole[i])
+				}
+			}
+		}
+	}
+}

@@ -4,8 +4,8 @@ import (
 	"math"
 	"testing"
 
+	"cic"
 	"cic/internal/chirp"
-	"cic/internal/core"
 	"cic/internal/frame"
 	"cic/internal/phy"
 	"cic/internal/rx"
@@ -111,10 +111,22 @@ func TestEndToEndD1LightLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recv, _ := core.NewReceiver(cfg, core.Options{}, rx.DetectorOptions{}, 0)
-	results, err := recv.Receive(run.Source)
+	recv, err := cic.NewReceiver(cic.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
+	}
+	pkts, err := recv.DecodeSource(run.Source)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var results []rx.Decoded
+	for _, p := range pkts {
+		results = append(results, rx.Decoded{
+			Packet:   &rx.Packet{Start: p.Start},
+			HeaderOK: p.OK,
+			CRCOK:    p.OK,
+			Payload:  p.Payload,
+		})
 	}
 	score := ScoreDecodes(run, results, 2.0)
 	if score.Offered < 5 {

@@ -1,12 +1,10 @@
 package cic
 
 import (
-	"fmt"
+	"sort"
 
-	"cic/internal/baseline/choir"
-	"cic/internal/baseline/ftrack"
 	"cic/internal/baseline/stdlora"
-	"cic/internal/core"
+	"cic/internal/frame"
 	"cic/internal/obs"
 	"cic/internal/rx"
 )
@@ -55,19 +53,18 @@ type receiverOptions struct {
 
 	intercept func(Packet) Packet
 	panicHook func(stage string, recovered any)
-
-	// batchOnly collects the names of applied options that only affect the
-	// batch Receiver. NewReceiver ignores it; NewGateway rejects any option
-	// recorded here rather than silently ignoring it, so a streaming caller
-	// can't believe a knob is in effect when it isn't. Every current option
-	// has a streaming effect; an Option that does not must call
-	// markBatchOnly.
-	batchOnly []string
 }
 
-// markBatchOnly records that the named option has no streaming effect.
-func (o *receiverOptions) markBatchOnly(name string) {
-	o.batchOnly = append(o.batchOnly, name)
+// applyOptions resolves options over the defaults.
+func applyOptions(options []Option) receiverOptions {
+	o := receiverOptions{algo: AlgorithmCIC}
+	for _, opt := range options {
+		opt(&o)
+	}
+	if o.algo == "" {
+		o.algo = AlgorithmCIC
+	}
+	return o
 }
 
 // WithAlgorithm selects the decoding algorithm (default AlgorithmCIC).
@@ -75,8 +72,8 @@ func WithAlgorithm(a Algorithm) Option {
 	return func(o *receiverOptions) { o.algo = a }
 }
 
-// WithWorkers sets the decoder worker-pool size (default GOMAXPROCS) for
-// both the batch Receiver and the streaming Gateway. Packets decode
+// WithWorkers sets the decoder worker-pool size (default GOMAXPROCS) of
+// the Gateway (and so of every Receiver decode). Packets decode
 // independently, so throughput scales with workers.
 func WithWorkers(n int) Option {
 	return func(o *receiverOptions) { o.workers = n }
@@ -100,36 +97,33 @@ func WithoutPowerFilter() Option {
 	return func(o *receiverOptions) { o.disablePowerFilter = true }
 }
 
-// WithDecodeInterceptor installs f on the streaming Gateway's worker
-// output path: every decoded packet passes through f before the reorder
-// stage, so a deployment can filter, annotate or transform packets
-// in-pipeline. f runs on a worker goroutine and must be safe for
+// WithDecodeInterceptor installs f on the Gateway's worker output path:
+// every decoded packet passes through f before the reorder stage, so a
+// deployment can filter, annotate or transform packets in-pipeline. f runs on a worker goroutine and must be safe for
 // concurrent calls; a panic inside f is contained by the worker's
 // recovery (the packet is delivered undecoded and the panic hook
-// fires). Batch Receivers ignore the interceptor.
+// fires).
 func WithDecodeInterceptor(f func(Packet) Packet) Option {
 	return func(o *receiverOptions) { o.intercept = f }
 }
 
-// WithPanicHook installs h as the streaming Gateway's panic observer: a
-// panic recovered on a decode worker (stage "payload") invokes h with
-// the recovered value instead of crashing the process. The packet whose
+// WithPanicHook installs h as the Gateway's panic observer: a panic
+// recovered on a decode worker (stage "payload") invokes h with the
+// recovered value instead of crashing the process. The packet whose
 // decode panicked is delivered undecoded (OK=false) so delivery order
 // is preserved. h runs on the panicking goroutine and must not itself
-// panic. Batch Receivers ignore the hook.
+// panic.
 func WithPanicHook(h func(stage string, recovered any)) Option {
 	return func(o *receiverOptions) { o.panicHook = h }
 }
 
 // Receiver decodes LoRa packets — including collided ones — from raw
-// complex-baseband samples. Receivers are safe for sequential reuse across
-// many buffers; a single Decode call fans work out over the worker pool.
+// complex-baseband samples, by streaming them through a Gateway.
+// Receivers are safe for reuse across many buffers; each decode runs its
+// own Gateway and worker pool.
 type Receiver struct {
 	cfg  Config
 	opts receiverOptions
-	impl interface {
-		Receive(src rx.SampleSource) ([]rx.Decoded, error)
-	}
 }
 
 // Stats returns a snapshot of the registry attached with WithMetrics; the
@@ -142,51 +136,15 @@ func NewReceiver(cfg Config, options ...Option) (*Receiver, error) {
 	if err != nil {
 		return nil, err
 	}
-	o := receiverOptions{algo: AlgorithmCIC}
-	for _, opt := range options {
-		opt(&o)
-	}
-	r := &Receiver{cfg: cfg, opts: o}
-	// One DecodeMetrics handle set serves the detector and every
-	// demodulator; with no WithMetrics registry it is the shared no-op set,
-	// keeping the hot path free of clock reads and allocations.
-	m := obs.NewDecodeMetrics(o.metrics)
-	detOpts := rx.DetectorOptions{Metrics: m}
-	coreOpts := core.Options{
-		DisableSED:         o.disableSED,
-		DisableCFOFilter:   o.disableCFOFilter,
-		DisablePowerFilter: o.disablePowerFilter,
-		Metrics:            m,
-		Tracer:             obs.Tracer(o.tracer),
-	}
-	switch o.algo {
-	case AlgorithmCIC, "":
-		r.impl, err = core.NewReceiver(fc, coreOpts, detOpts, o.workers)
-	case AlgorithmStrawman:
-		coreOpts.Strawman = true
-		r.impl, err = core.NewReceiver(fc, coreOpts, detOpts, o.workers)
-	case AlgorithmLoRa:
-		r.impl, err = stdlora.New(fc, detOpts, o.workers)
-	case AlgorithmChoir:
-		r.impl, err = choir.New(fc, choir.Options{}, detOpts, o.workers)
-	case AlgorithmFTrack:
-		r.impl, err = ftrack.New(fc, ftrack.Options{}, detOpts, o.workers)
-	default:
-		return nil, fmt.Errorf("cic: unknown algorithm %q", o.algo)
-	}
-	if err != nil {
+	o := applyOptions(options)
+	if _, err := decoderFor(fc, o, nil); err != nil {
 		return nil, err
 	}
-	return r, nil
+	return &Receiver{cfg: cfg, opts: o}, nil
 }
 
 // Algorithm returns the receiver's decoding algorithm.
-func (r *Receiver) Algorithm() Algorithm {
-	if r.opts.algo == "" {
-		return AlgorithmCIC
-	}
-	return r.opts.algo
-}
+func (r *Receiver) Algorithm() Algorithm { return r.opts.algo }
 
 // DecodeBuffer decodes every packet found in an IQ buffer whose first
 // sample has absolute index 0.
@@ -194,24 +152,69 @@ func (r *Receiver) DecodeBuffer(iq []complex128) ([]Packet, error) {
 	return r.DecodeSource(MemorySamples(iq))
 }
 
-// DecodeSource decodes every packet found in a SampleSource.
+// DecodeSource decodes every packet found in a SampleSource: it streams
+// the source's span through a Gateway, closes it, and returns the records
+// sorted by Start. For AlgorithmLoRa the capture lock then keeps only the
+// packets a single-packet radio would have locked onto.
 func (r *Receiver) DecodeSource(src SampleSource) ([]Packet, error) {
-	results, err := r.impl.Receive(sourceAdapter{src})
+	g, err := newGateway(r.cfg, r.opts)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]Packet, 0, len(results))
-	for _, res := range results {
-		out = append(out, Packet{
-			Start:        res.Packet.Start,
-			Payload:      res.Payload,
-			OK:           res.OK(),
-			SNR:          res.Packet.SNRdB,
-			CFO:          res.Packet.CFOHz,
-			FECCorrected: res.FECCorrected,
-		})
+	g.keepDispatched = r.opts.algo == AlgorithmLoRa
+	collected := make(chan []Packet, 1)
+	go func() {
+		var out []Packet
+		for p := range g.Packets() {
+			out = append(out, p)
+		}
+		collected <- out
+	}()
+	start, end := src.Span()
+	buf := make([]complex128, min(g.step, max(end-start, 0)))
+	for off := start; off < end; off += int64(len(buf)) {
+		chunk := buf[:min(int64(len(buf)), end-off)]
+		src.Read(chunk, off)
+		if _, err := g.Write(chunk); err != nil {
+			_ = g.Close()
+			<-collected
+			return nil, err
+		}
 	}
+	if err := g.Close(); err != nil {
+		return nil, err
+	}
+	out := <-collected
+	if g.keepDispatched {
+		out = captureLocked(g.fcfg, out, g.dispatched)
+	}
+	for i := range out {
+		out[i].Start += start
+	}
+	sort.SliceStable(out, func(a, b int) bool { return out[a].Start < out[b].Start })
 	return out, nil
+}
+
+// captureLocked applies standard LoRa's single-demodulator capture lock
+// (stdlora.CaptureFilter) to the decoded records. geometry[i] is the
+// tracked packet behind out[i], with its header-derived length.
+func captureLocked(fc frame.Config, out []Packet, geometry []rx.Packet) []Packet {
+	arrivals := make([]*rx.Packet, len(geometry))
+	for i := range geometry {
+		arrivals[i] = &geometry[i]
+	}
+	sort.SliceStable(arrivals, func(a, b int) bool { return arrivals[a].Start < arrivals[b].Start })
+	locked := make(map[*rx.Packet]bool, len(arrivals))
+	for _, p := range stdlora.CaptureFilter(fc, arrivals) {
+		locked[p] = true
+	}
+	kept := out[:0]
+	for i, p := range out {
+		if locked[&geometry[i]] {
+			kept = append(kept, p)
+		}
+	}
+	return kept
 }
 
 // MemorySamples wraps an IQ buffer (first sample at absolute index 0) as a

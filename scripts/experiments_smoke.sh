@@ -3,7 +3,10 @@
 # experiments-smoke): the committed downscaled config runs the full
 # config → trial matrix → journal → aggregate pipeline in BOTH drive
 # modes, gets killed mid-matrix, resumes from the journal, and must
-# produce byte-identical aggregates to the uninterrupted run.
+# produce byte-identical aggregates to the uninterrupted run. The
+# gatewayd drive (fault schedule armed) must match the in-process drive
+# byte for byte too: both decode through the same cic.Gateway, and its
+# records depend only on the samples.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -83,5 +86,7 @@ csv_check "$WORK/gw/smoke_D1.csv"
 journal_check "$WORK/gw.ndjson"
 grep -q '"drive":"gatewayd"' "$WORK/gw.ndjson" || {
     echo "experiments-smoke: FAIL: gatewayd journal lines not marked" >&2; exit 1; }
+cmp "$WORK/ref/smoke_D1.csv" "$WORK/gw/smoke_D1.csv" || {
+    echo "experiments-smoke: FAIL: gatewayd drive aggregates differ from the in-process drive" >&2; exit 1; }
 
-echo "experiments-smoke: PASS (both drive modes, kill-resume byte-identical)"
+echo "experiments-smoke: PASS (both drive modes byte-identical, kill-resume byte-identical)"
