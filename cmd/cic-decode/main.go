@@ -22,10 +22,10 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net/http"
 	"os"
 
 	"cic"
+	"cic/internal/daemon"
 )
 
 func main() {
@@ -76,12 +76,11 @@ func run() error {
 		options = append(options, cic.WithMetrics(reg))
 	}
 	if *debugAddr != "" {
-		go func() {
-			if err := http.ListenAndServe(*debugAddr, cic.DebugHandler(reg)); err != nil {
-				fmt.Fprintln(os.Stderr, "cic-decode: debug server:", err)
-			}
-		}()
-		fmt.Fprintf(os.Stderr, "debug endpoint on http://%s/metrics\n", *debugAddr)
+		ln, err := daemon.ServeDebug("cic-decode", *debugAddr, cic.DebugHandler(reg))
+		if err != nil {
+			return err
+		}
+		defer ln.Close()
 	}
 
 	var src io.Reader

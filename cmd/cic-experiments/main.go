@@ -23,12 +23,12 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
-	"net/http"
 	"os"
 	"os/signal"
 	"path/filepath"
 	"syscall"
 
+	"cic/internal/daemon"
 	"cic/internal/eval"
 	"cic/internal/experiment"
 	"cic/internal/obs"
@@ -69,12 +69,11 @@ func run() error {
 	// expvar and pprof) while long experiments execute.
 	reg := obs.NewRegistry()
 	if *debugAddr != "" {
-		go func() {
-			if err := http.ListenAndServe(*debugAddr, obs.DebugMux(reg)); err != nil {
-				fmt.Fprintln(os.Stderr, "cic-experiments: debug server:", err)
-			}
-		}()
-		fmt.Fprintf(os.Stderr, "debug endpoint on http://%s/metrics\n", *debugAddr)
+		ln, err := daemon.ServeDebug("cic-experiments", *debugAddr, obs.DebugMux(reg))
+		if err != nil {
+			return err
+		}
+		defer ln.Close()
 	}
 
 	figs, err := runConfig(configOptions{

@@ -22,13 +22,13 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"log/slog"
 	"os"
 	"os/signal"
 	"syscall"
 	"time"
 
 	"cic"
+	"cic/internal/daemon"
 	"cic/internal/server"
 )
 
@@ -82,17 +82,12 @@ func run() error {
 		src = f
 	}
 
-	var logger *slog.Logger
+	logger, err := daemon.Logger("info", *logFormat, *quiet)
+	if err != nil {
+		return err
+	}
 	var logf func(format string, args ...any)
-	if !*quiet {
-		switch *logFormat {
-		case "text":
-			logger = slog.New(slog.NewTextHandler(os.Stderr, nil))
-		case "json":
-			logger = slog.New(slog.NewJSONHandler(os.Stderr, nil))
-		default:
-			return fmt.Errorf("-log-format: unknown format %q (want text or json)", *logFormat)
-		}
+	if logger != nil {
 		logger = logger.With("station", *station)
 		logf = func(format string, args ...any) {
 			logger.Info(fmt.Sprintf(format, args...))

@@ -35,6 +35,7 @@ var GoroutineLeak = &Analyzer{
 var goroutinePkgs = map[string]bool{
 	"server":     true,
 	"cluster":    true,
+	"daemon":     true,
 	"cic":        true,
 	"experiment": true,
 	"main":       true,

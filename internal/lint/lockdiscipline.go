@@ -33,6 +33,7 @@ var LockDiscipline = &Analyzer{
 var lockPkgs = map[string]bool{
 	"server":     true,
 	"cluster":    true,
+	"daemon":     true,
 	"cic":        true,
 	"obs":        true,
 	"experiment": true,

@@ -112,7 +112,7 @@ func waitFor(t testing.TB, what string, cond func() bool) {
 // cic.ErrGatewayClosed, and Drain must be idempotent.
 func TestSessionWriteAfterDrain(t *testing.T) {
 	sink := server.NewFanout()
-	sess, err := server.NewSession(1, server.HelloFor("wac", testConfig()), 1, nil, sink)
+	sess, err := server.NewSession(1, server.HelloFor("wac", testConfig()), server.SessionOptions{Workers: 1}, sink)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -86,13 +86,9 @@ type Config struct {
 	// a development hook (e.g. cic.WithDecodeInterceptor for chaos
 	// tests); nil for production use.
 	GatewayOptions []cic.Option
-	// Logf logs connection-level events (silent when nil). Superseded by
-	// Log: when both are set Log wins; when only Logf is set the daemon's
-	// structured events are rendered to it as "msg key=value" lines.
-	Logf func(format string, args ...any)
 	// Log receives structured session-lifecycle events (accept, resume,
 	// park, shed, panic post-mortems), each stamped with the session's
-	// correlation id. Nil falls back to Logf (or silence).
+	// correlation id. Nil is silent.
 	Log *slog.Logger
 	// Flight, when set, records session transitions and decode incidents
 	// into a lock-free ring for post-mortems: mount it at /debug/flight
@@ -121,7 +117,7 @@ type Server struct {
 	cfg  Config
 	m    *serverMetrics
 	sink *Fanout
-	log  *slog.Logger // resolved from Config.Log / Config.Logf (nil = silent)
+	log  *slog.Logger // Config.Log (nil = silent)
 
 	parks *resume.Table[*slot]
 
@@ -177,9 +173,6 @@ func New(cfg Config) *Server {
 		log:  cfg.Log,
 	}
 	s.parks = resume.NewTable(cfg.ParkTimeout, s.m.SessionsParked, s.finish)
-	if s.log == nil && cfg.Logf != nil {
-		s.log = slog.New(logfHandler{logf: cfg.Logf})
-	}
 	s.sink.setMetrics(s.m)
 	return s
 }
@@ -480,7 +473,7 @@ func (s *Server) newSession(h Hello, resumable bool) (*Session, error) {
 	if decodeTimeout < 0 {
 		decodeTimeout = 0
 	}
-	sess, err := NewSessionOpts(id, h, SessionOptions{
+	sess, err := NewSession(id, h, SessionOptions{
 		Workers:        s.cfg.Workers,
 		Metrics:        s.cfg.Metrics,
 		DecodeTimeout:  decodeTimeout,

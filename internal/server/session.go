@@ -75,16 +75,23 @@ type Session struct {
 	pubDone   chan struct{}
 }
 
-// EstimateMemoryBytes predicts a session's accounted footprint for
-// admission control without building the Gateway: the ring holds 3× the
-// maximum packet and the dispatch path keeps up to 2×workers snapshots
-// in flight, 16 bytes per sample.
+// EstimateMemoryBytes predicts a session's accounted footprint
+// (Session.MemoryBytes) for admission control without building the
+// Gateway.
 func EstimateMemoryBytes(cfg cic.Config, workers int) (int64, error) {
 	maxPkt, err := cfg.PacketSamples(255)
 	if err != nil {
 		return 0, err
 	}
-	return int64(maxPkt) * 16 * int64(3+2*workers), nil
+	return memoryBytes(int64(maxPkt), workers), nil
+}
+
+// memoryBytes is the accounted footprint of a Gateway whose longest
+// packet spans maxPkt samples: the ring holds 3× the maximum packet and
+// the dispatch path keeps up to 2×workers snapshots in flight, 16 bytes
+// per sample.
+func memoryBytes(maxPkt int64, workers int) int64 {
+	return maxPkt * 16 * int64(3+2*workers)
 }
 
 // SessionOptions parameterises NewSession beyond the handshake.
@@ -115,15 +122,9 @@ type SessionOptions struct {
 }
 
 // NewSession validates the handshake's configuration, builds its
-// Gateway (decode metrics land on reg when non-nil, aggregating across
-// sessions) and starts the publisher. workers ≤ 0 selects the gateway
-// default (GOMAXPROCS).
-func NewSession(id uint64, h Hello, workers int, reg *cic.Metrics, sink *Fanout) (*Session, error) {
-	return NewSessionOpts(id, h, SessionOptions{Workers: workers, Metrics: reg}, sink)
-}
-
-// NewSessionOpts is NewSession with the full option set.
-func NewSessionOpts(id uint64, h Hello, o SessionOptions, sink *Fanout) (*Session, error) {
+// Gateway (decode metrics land on o.Metrics when non-nil, aggregating
+// across sessions) and starts the publisher that feeds sink.
+func NewSession(id uint64, h Hello, o SessionOptions, sink *Fanout) (*Session, error) {
 	cfg := h.Config()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -168,7 +169,7 @@ func NewSessionOpts(id uint64, h Hello, o SessionOptions, sink *Fanout) (*Sessio
 	if workers <= 0 {
 		workers = gw.Workers()
 	}
-	s.MemoryBytes = gw.MaxPacketSamples() * 16 * int64(3+2*workers)
+	s.MemoryBytes = memoryBytes(gw.MaxPacketSamples(), workers)
 	go s.publish()
 	return s, nil
 }
