@@ -32,7 +32,9 @@ lint:
 # Local iteration: lint only the packages with Go changes since the
 # origin/main merge-base. Whole-program analyzers see just these
 # packages, so cross-package reachability is partial — `make lint`
-# (and ci) still runs the full module.
+# (and ci) still runs the full module. Packages of nested modules (any
+# directory under a committed go.mod other than the root's, such as
+# perfbench/) are skipped, as `./...` skips them in `make lint`.
 lint-fast:
 	@base=$$(git merge-base origin/main HEAD 2>/dev/null) || base=; \
 	if [ -z "$$base" ]; then \
@@ -41,7 +43,10 @@ lint-fast:
 	fi; \
 	pkgs=$$(git diff --name-only "$$base" HEAD -- '*.go'; git diff --name-only -- '*.go'); \
 	dirs=$$(echo "$$pkgs" | grep -v '^$$' | xargs -r -n1 dirname | sort -u | grep -v testdata | sed 's|^|./|'); \
-	if [ -z "$$dirs" ]; then echo "lint-fast: no Go changes since $$base"; exit 0; fi; \
+	for mod in $$(git ls-files '*/go.mod' | xargs -r -n1 dirname); do \
+		dirs=$$(echo "$$dirs" | grep -v -x -e "\./$$mod" -e "\./$$mod/.*"); \
+	done; \
+	if [ -z "$$dirs" ]; then echo "lint-fast: no Go changes since $$base outside nested modules"; exit 0; fi; \
 	echo "lint-fast: $$dirs"; \
 	$(GO) run ./cmd/cic-lint $$dirs
 
@@ -85,10 +90,11 @@ bench-matrix: bench-json
 		-benchmark "DSP kernels" \
 		-description "FFT kernel micro-benchmarks: radix-4 forward transform, fused windowed transform, packed real-input transform, Goertzel fractional-bin DTFT (make bench-matrix)."
 
-# Regression gate against the committed records: allocs/op must stay
-# within max(+10%, +5) of BENCH_gateway.json / BENCH_dsp.json. Alloc
-# counts are deterministic, so this is CI-safe; wall-clock numbers are
-# informational only (see scripts/bench_gate.sh).
+# Regression gate against the committed records: allocs/op and bytes/op
+# must each stay within max(+10%, +5) of BENCH_gateway.json /
+# BENCH_dsp.json. Allocation counts and sizes are deterministic, so this
+# is CI-safe; wall-clock numbers are informational only (see
+# scripts/bench_gate.sh).
 bench-gate:
 	./scripts/bench_gate.sh
 

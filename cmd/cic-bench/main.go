@@ -10,9 +10,10 @@
 //
 // With -gate it runs in regression-gate mode instead of record mode: the
 // fresh bench output on stdin is compared against a committed BENCH_*.json
-// record and the process exits non-zero when a benchmark's allocs/op grows
-// past the committed value's slack (default max(+10%, +5) — allocation
-// counts are deterministic, so this gate is CI-safe on any machine).
+// record and the process exits non-zero when a benchmark's allocs/op or
+// bytes/op grows past the committed value's slack (default max(+10%, +5),
+// applied to each — allocation counts and sizes are deterministic, so this
+// gate is CI-safe on any machine).
 // Wall-clock gating is off by default because ns/op depends on the host;
 // enable it locally with -gate-time-ratio.
 //
@@ -68,8 +69,8 @@ func run() error {
 		out       = flag.String("out", "", "output path (default stdout)")
 
 		gate          = flag.String("gate", "", "committed BENCH_*.json to gate fresh stdin results against (regression-gate mode; no record is written)")
-		gateSlackPct  = flag.Float64("gate-alloc-slack-pct", 10, "allowed allocs/op growth over the committed value, percent")
-		gateSlackAbs  = flag.Int64("gate-alloc-slack-abs", 5, "allowed allocs/op growth over the committed value, absolute (the effective budget is the larger of the two slacks)")
+		gateSlackPct  = flag.Float64("gate-alloc-slack-pct", 10, "allowed allocs/op and bytes/op growth over the committed value, percent")
+		gateSlackAbs  = flag.Int64("gate-alloc-slack-abs", 5, "allowed allocs/op and bytes/op growth over the committed value, absolute (the effective budget is the larger of the two slacks)")
 		gateTimeRatio = flag.Float64("gate-time-ratio", 0, "when >0, fail if ns/op exceeds the committed ns/op by more than this factor (machine-sensitive; off by default)")
 	)
 	flag.Parse()
@@ -134,11 +135,12 @@ func run() error {
 }
 
 // runGate compares fresh results against the committed record at path.
-// The authoritative check is allocs/op: Go's allocation accounting is
-// deterministic per code path, so the budget
-// max(committed*(1+slackPct/100), committed+slackAbs) catches real
-// regressions without flaking across CI hosts. When timeRatio > 0 a
-// wall-clock check (ns/op <= committed*timeRatio) is applied as well.
+// The authoritative checks are allocs/op and bytes/op: Go's allocation
+// accounting is deterministic per code path, so the budget
+// max(committed*(1+slackPct/100), committed+slackAbs), applied to each,
+// catches real regressions without flaking across CI hosts. When
+// timeRatio > 0 a wall-clock check (ns/op <= committed*timeRatio) is
+// applied as well.
 func runGate(path string, fresh []result, slackPct float64, slackAbs int64, timeRatio float64) error {
 	buf, err := os.ReadFile(path)
 	if err != nil {
@@ -162,15 +164,23 @@ func runGate(path string, fresh []result, slackPct float64, slackAbs int64, time
 			continue
 		}
 		checked++
-		budget := int64(float64(o.AllocsPerOp) * (1 + slackPct/100))
-		if abs := o.AllocsPerOp + slackAbs; abs > budget {
-			budget = abs
-		}
-		if n.AllocsPerOp > budget {
-			failures = append(failures, fmt.Sprintf("%s: %d allocs/op, committed %d (budget %d)",
-				n.Name, n.AllocsPerOp, o.AllocsPerOp, budget))
-		} else {
-			fmt.Fprintf(os.Stderr, "gate: %-45s %6d allocs/op (budget %d) ok\n", n.Name, n.AllocsPerOp, budget)
+		for _, c := range []struct {
+			unit             string
+			fresh, committed int64
+		}{
+			{"allocs/op", n.AllocsPerOp, o.AllocsPerOp},
+			{"B/op", n.BytesPerOp, o.BytesPerOp},
+		} {
+			budget := int64(float64(c.committed) * (1 + slackPct/100))
+			if abs := c.committed + slackAbs; abs > budget {
+				budget = abs
+			}
+			if c.fresh > budget {
+				failures = append(failures, fmt.Sprintf("%s: %d %s, committed %d (budget %d)",
+					n.Name, c.fresh, c.unit, c.committed, budget))
+			} else {
+				fmt.Fprintf(os.Stderr, "gate: %-45s %10d %-9s (budget %d) ok\n", n.Name, c.fresh, c.unit, budget)
+			}
 		}
 		if timeRatio > 0 && o.NsPerOp > 0 && n.NsPerOp > o.NsPerOp*timeRatio {
 			failures = append(failures, fmt.Sprintf("%s: %.0f ns/op, committed %.0f (ratio limit %.2fx)",

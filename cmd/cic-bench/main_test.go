@@ -1,6 +1,8 @@
 package main
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -63,4 +65,29 @@ func FuzzParseBenchLine(f *testing.F) {
 			t.Errorf("name %q contains whitespace (line %q)", res.Name, line)
 		}
 	})
+}
+
+// TestRunGateBudgets: the gate holds allocs/op and bytes/op each to
+// max(+10%, +5) of the committed record.
+func TestRunGateBudgets(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "BENCH.json")
+	rec := `{"results":[{"name":"BenchmarkX","iterations":10,"ns_per_op":1,"allocs_per_op":80,"bytes_per_op":3000000}]}`
+	if err := os.WriteFile(path, []byte(rec), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		allocs, bytes int64
+		ok            bool
+	}{
+		{80, 3000000, true},
+		{88, 3300000, true},  // both at their +10% budget
+		{89, 3000000, false}, // allocs past budget
+		{80, 3300001, false}, // bytes past budget
+		{10, 100, true},      // shrinking never fails
+	} {
+		fresh := []result{{Name: "BenchmarkX", NsPerOp: 1, AllocsPerOp: tc.allocs, BytesPerOp: tc.bytes}}
+		if err := runGate(path, fresh, 10, 5, 0); (err == nil) != tc.ok {
+			t.Errorf("allocs %d bytes %d: err %v, want ok=%v", tc.allocs, tc.bytes, err, tc.ok)
+		}
+	}
 }

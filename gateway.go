@@ -38,22 +38,25 @@ import (
 //	gw.Close()
 //
 // Internally the gateway keeps a bounded ring of recent samples, scans each
-// newly arrived region for preambles incrementally, and decodes a packet
-// once the air has moved past its end (by which time every transmission
-// that could interfere with it has itself been detected, so the CIC
-// boundary bookkeeping is complete). Write cuts its input at absolute
-// multiples of a fixed ingest step (16 symbols) and detects and dispatches
-// only at those boundaries, so the decoded records depend only on the
-// sample stream, never on how it was split into writes.
+// newly arrived region for preambles incrementally, and decodes each packet
+// in two phases: its header once the header symbols are in, its payload
+// once the air has moved past the packet's real end. Each phase waits a
+// settle margin (one preamble plus the scan lag) past its span, by which
+// time every transmission that overlaps the span has itself been detected,
+// so the CIC boundary bookkeeping is complete. Write cuts its input at
+// absolute multiples of a fixed ingest step (16 symbols) and detects and
+// dispatches only at those boundaries, so the decoded records depend only
+// on the sample stream, never on how it was split into writes.
 //
 // Decoding is pipelined: the ingest goroutine detects preambles, decodes
-// each completed packet's header (cheap, and order-sensitive — header
+// each packet's header in start order (cheap, and order-sensitive — header
 // decode fixes the packet length that later packets' boundary bookkeeping
-// depends on), snapshots the packet's samples out of the ring with a
-// two-segment bulk copy, and hands the expensive payload demodulation to a
+// depends on, and it assigns the delivery sequence number), snapshots the
+// packet's samples out of the ring with a two-segment bulk copy once its
+// payload has settled, and hands the expensive payload demodulation to a
 // pool of workers, each owning a private symbol picker (the algorithm's
 // demodulator: CIC's core.Demodulator or a baseline's). A reorder
-// buffer delivers results on Packets() in dispatch (air-time) order, so
+// buffer delivers results on Packets() in header (air-time) order, so
 // the output sequence is identical to a single-worker gateway.
 // Backpressure is bounded by the pool depth: when every worker is busy and
 // the job queue is full, Write blocks.
@@ -67,9 +70,7 @@ type Gateway struct {
 	scan    func(src rx.SampleSource, start, end int64) []*rx.Packet
 	hdr     rx.SymbolPicker // header demodulation on the ingest goroutine
 	out     chan Packet
-	maxPkt  int64 // samples in a max-length packet
-	step    int64 // ingest step: detection and dispatch run at its multiples
-	scanLag int64 // how far detection trails the newest sample
+	sizes   // sample counts: max packet, ingest step, scan lag, settle margin, ring
 	workers int
 
 	// Ingest state, guarded by wmu (Write, Close and the flush path
@@ -80,15 +81,16 @@ type Gateway struct {
 	base     atomic.Int64 // absolute index of the oldest retained sample
 	written  atomic.Int64 // absolute index one past the newest sample
 	scanned  int64        // scan frontier (exclusive)
-	pending  []*rx.Packet // detected, not yet dispatched
+	pending  []*rx.Packet // detected, header not yet decoded
+	headed   []headed     // header decoded, payload not yet dispatched (seq order)
 	active   []*rx.Packet // all tracked packets still relevant as interferers
 	maxIDSeq int
-	seq      int64 // dispatch sequence number (reorder key)
+	seq      int64 // header sequence number (reorder key)
 
 	// dispatched, when keepDispatched is set, collects a copy of every
-	// dispatched packet's geometry in dispatch order — the order of
-	// Packets(). Receiver's LoRa capture post-pass reads the preamble
-	// amplitudes and header-derived lengths from it. Guarded by wmu.
+	// packet's geometry in header order — the order of Packets().
+	// Receiver's LoRa capture post-pass reads the preamble amplitudes and
+	// header-derived lengths from it. Guarded by wmu.
 	keepDispatched bool
 	dispatched     []rx.Packet
 
@@ -144,7 +146,16 @@ type decodeJob struct {
 	gates      obs.GateCounts // header-phase gate verdicts
 }
 
-// seqPacket is a decoded packet tagged with its dispatch sequence number
+// headed is a packet whose header is decoded: its payload job, already
+// carrying the sequence number and header symbols, waits for the packet's
+// real end to settle.
+type headed struct {
+	p       *rx.Packet
+	job     decodeJob
+	hdrTime time.Duration // header decode time, observed with the snapshot's
+}
+
+// seqPacket is a decoded packet tagged with its header sequence number
 // plus the trace context the reorder stage needs for latency accounting
 // and emit events.
 type seqPacket struct {
@@ -184,6 +195,55 @@ const (
 	upchirpLag        = 10
 )
 
+// sizes are a gateway's sample counts, each derived from the frame config.
+type sizes struct {
+	maxPkt  int64 // a max-length (255-byte) packet, preamble included
+	step    int64 // the ingest step: detection and dispatch run at its multiples
+	scanLag int64 // how far the scan frontier trails the newest sample
+	settle  int64 // how far a decode phase trails the end of its span
+	ring    int64 // the sample ring's length
+}
+
+// gatewaySizes sizes a gateway for fc and its preamble scan. A decode
+// phase waits until settle = one preamble + scanLag has been written past
+// its span: the scan finds a packet by the end of its preamble, so by
+// then every packet that starts inside the span has been detected. The
+// ring is the furthest a payload dispatch can trail its packet's start: a
+// max-length packet's payload is snapshotted at the first ingest step at
+// or past its end + settle, so ring = maxPkt + settle + step keeps every
+// sample a pending packet needs.
+func gatewaySizes(fc frame.Config, upchirp bool) sizes {
+	m := int64(fc.Chirp.SamplesPerSymbol())
+	pre := int64(fc.PreambleSampleCount())
+	z := sizes{
+		maxPkt:  pre + int64(phy.MaxSymbolCount(fc.PHY))*m,
+		step:    ingestStepSymbols * m,
+		scanLag: downchirpLag * m,
+	}
+	if upchirp {
+		z.scanLag = upchirpLag * m
+	}
+	z.settle = pre + z.scanLag
+	z.ring = z.maxPkt + z.settle + z.step
+	return z
+}
+
+// GatewaySamples reports the sample counts behind a CIC gateway's memory
+// for cfg without building one: ring is the length of its sample ring and
+// maxPkt the airtime of a max-length packet, which bounds one payload
+// snapshot (a header can claim 255 bytes). A Gateway built from cfg
+// reports the same through RingSamples and MaxPacketSamples; the
+// conventional up-chirp scan of the baselines trails by eight more
+// symbols, and its ring is that much longer.
+func GatewaySamples(cfg Config) (ring, maxPkt int64, err error) {
+	fc, err := cfg.frameConfig()
+	if err != nil {
+		return 0, 0, err
+	}
+	z := gatewaySizes(fc, false)
+	return z.ring, z.maxPkt, nil
+}
+
 // newGateway builds a gateway for any algorithm, AlgorithmLoRa included.
 func newGateway(cfg Config, o receiverOptions) (*Gateway, error) {
 	fc, err := cfg.frameConfig()
@@ -207,22 +267,17 @@ func newGateway(cfg Config, o receiverOptions) (*Gateway, error) {
 	if err != nil {
 		return nil, err
 	}
-	maxPkt := int64(fc.PreambleSampleCount() + phy.MaxSymbolCount(fc.PHY)*fc.Chirp.SamplesPerSymbol())
-	m := int64(fc.Chirp.SamplesPerSymbol())
+	sz := gatewaySizes(fc, dec.upchirp)
 	g := &Gateway{
-		cfg:     cfg,
-		fcfg:    fc,
-		det:     det,
-		scan:    det.ScanDownchirpRange,
-		hdr:     hdr,
-		out:     make(chan Packet, 64),
-		maxPkt:  maxPkt,
-		step:    ingestStepSymbols * m,
-		scanLag: downchirpLag * m,
-		workers: workers,
-		// Ring must hold the longest packet plus detection lag plus a full
-		// ingest step; triple the packet length is comfortably enough.
-		buf:         make([]complex128, 3*maxPkt),
+		cfg:         cfg,
+		fcfg:        fc,
+		det:         det,
+		scan:        det.ScanDownchirpRange,
+		hdr:         hdr,
+		out:         make(chan Packet, 64),
+		sizes:       sz,
+		workers:     workers,
+		buf:         make([]complex128, sz.ring),
 		jobs:        make(chan decodeJob, workers),
 		results:     make(chan seqPacket, workers),
 		reorderDone: make(chan struct{}),
@@ -235,14 +290,9 @@ func newGateway(cfg Config, o receiverOptions) (*Gateway, error) {
 	}
 	if dec.upchirp {
 		g.scan = det.ScanUpchirpRange
-		g.scanLag = upchirpLag * m
 	}
 	if o.metrics != nil || o.tracer != nil {
 		g.detectedAt = make(map[int]time.Time)
-	}
-	g.snapPool.New = func() any {
-		s := make([]complex128, maxPkt)
-		return &s
 	}
 	pickers := make([]rx.SymbolPicker, workers)
 	for w := range pickers {
@@ -410,12 +460,13 @@ func (r ringSource) Span() (int64, int64) {
 	return r.g.base.Load(), r.g.written.Load()
 }
 
-// process advances detection and dispatches completed packets to the
-// worker pool. flush forces dispatch of everything currently buffered.
-// Caller holds wmu.
+// process advances detection and runs both decode phases for every packet
+// whose span has settled. flush forces both phases for everything
+// currently buffered. Caller holds wmu.
 func (g *Gateway) process(flush bool) {
 	src := ringSource{g}
 	written := g.written.Load()
+	fc := g.fcfg
 
 	// Detection trails the newest sample by scanLag so every scan window is
 	// fully buffered.
@@ -433,7 +484,7 @@ func (g *Gateway) process(flush bool) {
 			}
 			g.maxIDSeq++
 			p.ID = g.maxIDSeq
-			p.NSymbols = phy.MaxSymbolCount(g.fcfg.PHY)
+			p.NSymbols = phy.MaxSymbolCount(fc.PHY)
 			g.pending = append(g.pending, p)
 			g.active = append(g.active, p)
 			// Count preambles only after the known() dedup: incremental
@@ -456,52 +507,72 @@ func (g *Gateway) process(flush bool) {
 		g.scanned = scanTo
 	}
 
-	// Dispatch pending packets whose span is complete (or everything on
-	// flush), oldest first — the sequence number assigned at dispatch keys
-	// the reorder buffer, so delivery order matches this selection order.
+	// Phase 1: decode headers oldest first, once every packet that overlaps
+	// the header has been detected. The time a header settles rises with
+	// the packet's start, so the sequence number assigned here follows
+	// start order, and it keys delivery.
 	for {
-		var next *rx.Packet
 		idx := -1
 		for i, p := range g.pending {
-			if flush || p.End(g.fcfg)+g.scanLag <= written {
-				if next == nil || p.Start < next.Start {
-					next, idx = p, i
-				}
+			if (flush || p.SymbolStart(fc, phy.HeaderSymbolCount)+g.settle <= written) &&
+				(idx < 0 || p.Start < g.pending[idx].Start) {
+				idx = i
 			}
 		}
-		if next == nil {
-			return
+		if idx < 0 {
+			break
 		}
+		p := g.pending[idx]
 		g.pending = append(g.pending[:idx], g.pending[idx+1:]...)
-		others := make([]*rx.Packet, 0, len(g.active)-1)
-		for _, q := range g.active {
-			if q != next {
-				others = append(others, q)
-			}
-		}
-		g.dispatch(src, next, others)
-
-		// Retire tracked packets whose samples have left the ring: they can
-		// no longer interfere with anything still decodable.
-		base := g.base.Load()
-		keep := g.active[:0]
-		for _, q := range g.active {
-			if q.End(g.fcfg) > base {
-				keep = append(keep, q)
-			}
-		}
-		g.active = keep
+		g.decodeHeader(src, p)
 	}
+
+	// Phase 2: queue each payload once its real end has settled. Headers
+	// decoded since carry their real lengths into the interferer clones.
+	keep := g.headed[:0]
+	for _, h := range g.headed {
+		if flush || h.p.End(fc)+g.settle <= written {
+			g.dispatch(h)
+		} else {
+			keep = append(keep, h)
+		}
+	}
+	clear(g.headed[len(keep):])
+	g.headed = keep
+
+	// Retire tracked packets whose samples have left the ring: every
+	// packet still to be dispatched starts after base, so they can no
+	// longer interfere with anything still decodable.
+	base := g.base.Load()
+	active := g.active[:0]
+	for _, q := range g.active {
+		if q.End(fc) > base {
+			active = append(active, q)
+		}
+	}
+	clear(g.active[len(active):])
+	g.active = active
 }
 
-// dispatch decodes one packet's header on the ingest goroutine (fixing its
-// length, which later packets' boundary bookkeeping reads), snapshots its
-// samples out of the ring, and queues the payload for a pool worker. The
-// send blocks when the pool is saturated (bounded backpressure).
-func (g *Gateway) dispatch(src rx.SampleSource, p *rx.Packet, others []*rx.Packet) {
+// interferers returns every tracked packet but p.
+func (g *Gateway) interferers(p *rx.Packet) []*rx.Packet {
+	others := make([]*rx.Packet, 0, len(g.active)-1)
+	for _, q := range g.active {
+		if q != p {
+			others = append(others, q)
+		}
+	}
+	return others
+}
+
+// decodeHeader decodes one packet's header on the ingest goroutine, fixing
+// its length (which later packets' boundary bookkeeping reads) and its
+// sequence number. A header failure is forwarded at once; otherwise the
+// payload job waits in headed for the packet's end to settle.
+func (g *Gateway) decodeHeader(src rx.SampleSource, p *rx.Packet) {
 	fc := g.fcfg
 	t0 := g.m.DispatchTime.Start()
-	g.m.CollisionSize.Observe(float64(len(others)))
+	others := g.interferers(p)
 	job := decodeJob{seq: g.seq, id: p.ID, result: Packet{Start: p.Start, SNR: p.SNRdB, CFO: p.CFOHz}}
 	g.seq++
 	if g.detectedAt != nil {
@@ -519,6 +590,7 @@ func (g *Gateway) dispatch(src rx.SampleSource, p *rx.Packet, others []*rx.Packe
 		g.noteDispatched(p)
 		g.traceHeader(p, job.seq, false)
 		job.ready = true
+		g.m.CollisionSize.Observe(float64(len(others)))
 		g.m.DispatchTime.Since(t0)
 		g.jobs <- job
 		g.m.QueueDepth.Set(int64(len(g.jobs)))
@@ -531,10 +603,20 @@ func (g *Gateway) dispatch(src rx.SampleSource, p *rx.Packet, others []*rx.Packe
 	g.m.HeadersDecoded.Inc()
 	g.noteDispatched(p)
 	g.traceHeader(p, job.seq, true)
+	job.syms = syms
+	g.headed = append(g.headed, headed{p: p, job: job, hdrTime: obs.Since(t0)})
+}
 
-	// Snapshot: a private clone of the packet and interferer geometry plus
-	// a bulk copy of the packet's samples, so the worker reads without
-	// touching the ring or the ingest lock.
+// dispatch snapshots one settled payload and queues it for a pool worker.
+// The snapshot is a private clone of the packet and interferer geometry
+// plus a bulk copy of the packet's samples, so the worker reads without
+// touching the ring or the ingest lock. The send blocks when the pool is
+// saturated (bounded backpressure).
+func (g *Gateway) dispatch(h headed) {
+	t0 := g.m.DispatchTime.Start()
+	p, job := h.p, h.job
+	others := g.interferers(p)
+	g.m.CollisionSize.Observe(float64(len(others)))
 	pc := *p
 	job.pkt = &pc
 	job.others = make([]*rx.Packet, len(others))
@@ -542,10 +624,9 @@ func (g *Gateway) dispatch(src rx.SampleSource, p *rx.Packet, others []*rx.Packe
 		qc := *q
 		job.others[i] = &qc
 	}
-	job.syms = syms
-	need := p.End(fc) - p.Start
-	bufp := g.snapPool.Get().(*[]complex128)
-	if int64(cap(*bufp)) < need {
+	need := p.End(g.fcfg) - p.Start
+	bufp, _ := g.snapPool.Get().(*[]complex128)
+	if bufp == nil || int64(cap(*bufp)) < need {
 		s := make([]complex128, need)
 		bufp = &s
 	}
@@ -554,7 +635,7 @@ func (g *Gateway) dispatch(src rx.SampleSource, p *rx.Packet, others []*rx.Packe
 	job.snap = snap
 	job.snapBuf = bufp
 	job.snapStart = p.Start
-	g.m.DispatchTime.Since(t0)
+	g.m.DispatchTime.ObserveDuration(h.hdrTime + obs.Since(t0))
 	g.jobs <- job
 	g.m.QueueDepth.Set(int64(len(g.jobs)))
 }
@@ -660,7 +741,7 @@ func (g *Gateway) runJob(ws *workerState, job decodeJob) {
 		}
 	}()
 	pkt := job.result
-	gates := job.gates // header-phase verdicts tallied at dispatch
+	gates := job.gates // header-phase verdicts tallied in phase 1
 	nsyms := 0
 	if !job.ready {
 		t0 := g.m.DemodTime.Start()
@@ -732,9 +813,10 @@ func (g *Gateway) decodePayload(ws *workerState, job decodeJob) Packet {
 	return out
 }
 
-// reorder delivers worker results on the Packets channel in dispatch
-// order. The held map is bounded by the number of jobs in flight, which
-// the pool depth bounds in turn.
+// reorder delivers worker results on the Packets channel in header
+// (sequence) order. A result is held while an earlier packet's payload is
+// still waiting for its end or in flight, so the held map is bounded by
+// the packets that start within one max-length packet.
 func (g *Gateway) reorder() {
 	defer close(g.out)
 	next := int64(0)
@@ -760,7 +842,7 @@ func (g *Gateway) reorder() {
 	}
 }
 
-// emit delivers one packet in dispatch order and settles its latency
+// emit delivers one packet in sequence order and settles its latency
 // accounting: time held in the reorder buffer, preamble-detect to emit
 // latency, and the emit trace event.
 func (g *Gateway) emit(r seqPacket) {
@@ -822,5 +904,11 @@ func (g *Gateway) Config() Config { return g.cfg }
 func (g *Gateway) Stats() Stats { return g.reg.Snapshot() }
 
 // MaxPacketSamples reports the airtime budget (in samples) the gateway
-// assumes for an undecoded packet — the ring holds three times this.
+// assumes for a packet whose header is not yet decoded: a 255-byte packet
+// at the configured coding rate, preamble included.
 func (g *Gateway) MaxPacketSamples() int64 { return g.maxPkt }
+
+// RingSamples reports the length of the gateway's sample ring: one
+// max-length packet plus the settle margin and one ingest step (see
+// GatewaySamples).
+func (g *Gateway) RingSamples() int64 { return g.ring }

@@ -101,7 +101,7 @@ func TestGatewayOversizeWrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	gw.Close()
-	if ring := 3 * gw.MaxPacketSamples(); int64(len(iq)) <= ring {
+	if ring := gw.RingSamples(); int64(len(iq)) <= ring {
 		t.Fatalf("trace of %d samples fits the %d-sample ring", len(iq), ring)
 	}
 	want := streamChunks(t, iq, 16384)

@@ -178,9 +178,8 @@ func TestGatewayBoundedMemory(t *testing.T) {
 		}
 		total += int64(len(chunk))
 	}
-	maxPkt, _ := cfg.PacketSamples(255)
-	if got := gw.BufferedSamples(); got > int64(3*maxPkt) {
-		t.Errorf("gateway buffered %d samples, ring bound %d", got, 3*maxPkt)
+	if got, ring := gw.BufferedSamples(), gw.RingSamples(); got > ring {
+		t.Errorf("gateway buffered %d samples, ring bound %d", got, ring)
 	}
 }
 

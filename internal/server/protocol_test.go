@@ -151,7 +151,7 @@ func TestEstimateMemoryBytes(t *testing.T) {
 		for range gw.Packets() {
 		}
 	}()
-	want := gw.MaxPacketSamples() * 16 * (3 + 2*2)
+	want := 16 * (gw.RingSamples() + 2*2*gw.MaxPacketSamples())
 	if est != want {
 		t.Fatalf("estimate %d, gateway-derived %d", est, want)
 	}

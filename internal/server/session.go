@@ -55,8 +55,8 @@ type Session struct {
 	sfPktFail *obs.Counter
 
 	// MemoryBytes is the session's accounted footprint: the gateway ring
-	// (3× the max packet) plus up to 2×workers in-flight sample
-	// snapshots, at 16 bytes per complex128.
+	// plus up to 2×workers in-flight max-length sample snapshots, at 16
+	// bytes per complex128 (memoryBytes).
 	MemoryBytes int64
 
 	// ingested counts samples accepted into the Gateway — the resume
@@ -79,19 +79,20 @@ type Session struct {
 // (Session.MemoryBytes) for admission control without building the
 // Gateway.
 func EstimateMemoryBytes(cfg cic.Config, workers int) (int64, error) {
-	maxPkt, err := cfg.PacketSamples(255)
+	ring, maxPkt, err := cic.GatewaySamples(cfg)
 	if err != nil {
 		return 0, err
 	}
-	return memoryBytes(int64(maxPkt), workers), nil
+	return memoryBytes(ring, maxPkt, workers), nil
 }
 
-// memoryBytes is the accounted footprint of a Gateway whose longest
-// packet spans maxPkt samples: the ring holds 3× the maximum packet and
-// the dispatch path keeps up to 2×workers snapshots in flight, 16 bytes
-// per sample.
-func memoryBytes(maxPkt int64, workers int) int64 {
-	return maxPkt * 16 * int64(3+2*workers)
+// memoryBytes is the accounted footprint of a Gateway with a ring of ring
+// samples whose longest packet spans maxPkt samples: the ring plus up to
+// 2×workers payload snapshots in flight (the job queue and the busy
+// workers), 16 bytes per sample. Snapshots are charged at the maximum
+// because a hostile header can claim 255 bytes.
+func memoryBytes(ring, maxPkt int64, workers int) int64 {
+	return 16 * (ring + 2*int64(workers)*maxPkt)
 }
 
 // SessionOptions parameterises NewSession beyond the handshake.
@@ -169,7 +170,7 @@ func NewSession(id uint64, h Hello, o SessionOptions, sink *Fanout) (*Session, e
 	if workers <= 0 {
 		workers = gw.Workers()
 	}
-	s.MemoryBytes = memoryBytes(gw.MaxPacketSamples(), workers)
+	s.MemoryBytes = memoryBytes(gw.RingSamples(), gw.MaxPacketSamples(), workers)
 	go s.publish()
 	return s, nil
 }

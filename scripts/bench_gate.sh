@@ -3,10 +3,10 @@
 #
 # Re-runs the two recorded benchmark families and compares them against
 # the committed BENCH_gateway.json / BENCH_dsp.json records via
-# `cic-bench -gate`. The authoritative check is allocs/op — Go's
-# allocation accounting is deterministic per code path, so growth past
-# max(+10%, +5) over the committed value fails on any machine without
-# flaking. Wall-clock numbers are machine-sensitive and are NOT gated
+# `cic-bench -gate`. The authoritative checks are allocs/op and bytes/op
+# — Go's allocation accounting is deterministic per code path, so growth
+# of either past max(+10%, +5) over the committed value fails on any
+# machine without flaking. Wall-clock numbers are machine-sensitive and are NOT gated
 # here; re-measure them with `make bench-matrix` when touching the hot
 # path and commit the refreshed records.
 set -eu
