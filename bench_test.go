@@ -7,6 +7,7 @@ package cic_test
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
@@ -23,16 +24,13 @@ import (
 	"cic/internal/frame"
 	"cic/internal/phy"
 	"cic/internal/rx"
-	"cic/internal/sim"
 )
 
 // benchEvalConfig is a reduced experiment configuration for benchmarks.
 func benchEvalConfig() eval.Config {
 	cfg := eval.DefaultConfig()
-	cfg.Rates = []float64{40}
 	cfg.Duration = 0.5
 	cfg.PayloadLen = 16
-	cfg.Workers = 0
 	return cfg
 }
 
@@ -381,15 +379,21 @@ func BenchmarkFig22to26DeploymentMaps(b *testing.B)  { benchFigure(b, eval.Deplo
 func BenchmarkFig27SNRDistribution(b *testing.B)     { benchFigure(b, eval.SNRDistribution) }
 
 // benchSweep runs a reduced one-trial sweep (the harness path the
-// committed throughput and detection figures take) and aggregates it.
-func benchSweep(b *testing.B, metric, dep string) {
+// committed throughput, detection and ablation figures take) and
+// aggregates it. No receivers means the config default.
+func benchSweep(b *testing.B, metric, dep string, receivers ...string) {
+	rxs, err := json.Marshal(receivers)
+	if err != nil {
+		b.Fatal(err)
+	}
 	cfg, err := experiment.Parse([]byte(fmt.Sprintf(`{
 		"version": 1, "name": "bench", "kind": "sweep", "metric": %q,
 		"channel": {"sf": 8, "bandwidth_hz": 250000, "osr": 4, "cr": "4/5"},
 		"deployments": [{"base": %q}],
 		"rates": [40], "duration_s": 0.5, "payload_len": 16,
+		"receivers": %s,
 		"seeds": {"base": 1}
-	}`, metric, dep)))
+	}`, metric, dep, rxs)))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -419,17 +423,11 @@ func BenchmarkFig33DetectionD2(b *testing.B) { benchSweep(b, "detection", "D2") 
 func BenchmarkFig34DetectionD3(b *testing.B) { benchSweep(b, "detection", "D3") }
 func BenchmarkFig35DetectionD4(b *testing.B) { benchSweep(b, "detection", "D4") }
 
-func BenchmarkFig36AblationD1(b *testing.B) {
-	benchFigure(b, func(cfg eval.Config) (eval.Figure, error) {
-		return eval.Ablation(cfg, sim.D1)
-	})
-}
+// ablationReceivers are the four CIC feature variants of Figs 36–37.
+var ablationReceivers = []string{"CIC", "CIC-(CFO)", "CIC-(Power)", "CIC-(Power,CFO)"}
 
-func BenchmarkFig37AblationD4(b *testing.B) {
-	benchFigure(b, func(cfg eval.Config) (eval.Figure, error) {
-		return eval.Ablation(cfg, sim.D4)
-	})
-}
+func BenchmarkFig36AblationD1(b *testing.B) { benchSweep(b, "throughput", "D1", ablationReceivers...) }
+func BenchmarkFig37AblationD4(b *testing.B) { benchSweep(b, "throughput", "D4", ablationReceivers...) }
 
 func BenchmarkFig38TemporalProximity(b *testing.B) {
 	benchFigure(b, func(cfg eval.Config) (eval.Figure, error) {

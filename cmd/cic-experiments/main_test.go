@@ -14,8 +14,7 @@ func TestRunConfigLightweightFigures(t *testing.T) {
 	for _, fig := range []string{"heisenberg", "snr", "maps", "cancellation"} {
 		path := filepath.Join(dir, fig+".json")
 		cfg := `{"version": 1, "name": "` + fig + `", "kind": "figure", "figure": "` + fig + `",
-			"deployments": [{"base": "D1"}, {"base": "D2"}, {"base": "D3"}, {"base": "D4"}],
-			"rates": [10], "duration_s": 0.5, "payload_len": 8, "seeds": {"base": 1}}`
+			"duration_s": 0.5, "payload_len": 8, "seeds": {"base": 1}}`
 		if err := os.WriteFile(path, []byte(cfg), 0o644); err != nil {
 			t.Fatal(err)
 		}

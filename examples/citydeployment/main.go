@@ -40,11 +40,11 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Printf("\noffered %.0f pkts/s (%d packets):\n", rate, len(run.Truth))
-		receivers, err := eval.DefaultReceivers(cfg.Frame, 0)
-		if err != nil {
-			log.Fatal(err)
-		}
-		for _, recv := range receivers {
+		for _, name := range eval.ReceiverNames() {
+			recv, err := eval.ReceiverByName(cfg.Frame, 0, name, nil)
+			if err != nil {
+				log.Fatal(err)
+			}
 			results, err := recv.Receive(run.Source)
 			if err != nil {
 				log.Fatal(err)

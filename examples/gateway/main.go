@@ -34,11 +34,11 @@ func main() {
 	// The CIC receiver runs instrumented so the decode-stage totals can be
 	// reported after the comparison.
 	reg := obs.NewRegistry()
-	receivers, err := eval.DefaultReceiversObserved(cfg.Frame, 0, reg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	for _, recv := range receivers {
+	for _, name := range eval.ReceiverNames() {
+		recv, err := eval.ReceiverByName(cfg.Frame, 0, name, reg)
+		if err != nil {
+			log.Fatal(err)
+		}
 		t0 := time.Now()
 		results, err := recv.Receive(run.Source)
 		if err != nil {

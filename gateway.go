@@ -230,8 +230,8 @@ func gatewaySizes(fc frame.Config, upchirp bool) sizes {
 
 // GatewaySamples reports the sample counts behind a CIC gateway's memory
 // for cfg without building one: ring is the length of its sample ring and
-// maxPkt the airtime of a max-length packet, which bounds one payload
-// snapshot (a header can claim 255 bytes). A Gateway built from cfg
+// maxPkt the airtime of a max-length packet at cfg's coding rate, which
+// bounds one payload snapshot (see MaxPacketSamples). A Gateway built from cfg
 // reports the same through RingSamples and MaxPacketSamples; the
 // conventional up-chirp scan of the baselines trails by eight more
 // symbols, and its ring is that much longer.
@@ -567,8 +567,9 @@ func (g *Gateway) interferers(p *rx.Packet) []*rx.Packet {
 
 // decodeHeader decodes one packet's header on the ingest goroutine, fixing
 // its length (which later packets' boundary bookkeeping reads) and its
-// sequence number. A header failure is forwarded at once; otherwise the
-// payload job waits in headed for the packet's end to settle.
+// sequence number. A header failure, or a header claiming more airtime
+// than MaxPacketSamples, is forwarded at once; otherwise the payload job
+// waits in headed for the packet's end to settle.
 func (g *Gateway) decodeHeader(src rx.SampleSource, p *rx.Packet) {
 	fc := g.fcfg
 	t0 := g.m.DispatchTime.Start()
@@ -585,6 +586,18 @@ func (g *Gateway) decodeHeader(src rx.SampleSource, p *rx.Packet) {
 	}
 	job.gates = takeGateTally(g.hdr)
 	hdr, ok := rx.HeaderFromSymbols(syms, fc.PHY)
+	if ok {
+		pcfg := fc.PHY
+		pcfg.CR = hdr.CR
+		pcfg.HasCRC = hdr.HasCRC
+		p.NSymbols = phy.SymbolCount(pcfg, int(hdr.Length))
+		// The ring holds one max-length packet at the configured coding
+		// rate. A header claiming more airtime (a higher coding rate)
+		// would need samples evicted before its end settles, so it is
+		// forwarded undecoded; p keeps the claimed length, leaving the
+		// interferer geometry of every other packet as it was.
+		ok = p.End(fc)-p.Start <= g.maxPkt
+	}
 	if !ok {
 		g.m.HeaderFailures.Inc()
 		g.noteDispatched(p)
@@ -596,10 +609,6 @@ func (g *Gateway) decodeHeader(src rx.SampleSource, p *rx.Packet) {
 		g.m.QueueDepth.Set(int64(len(g.jobs)))
 		return
 	}
-	pcfg := fc.PHY
-	pcfg.CR = hdr.CR
-	pcfg.HasCRC = hdr.HasCRC
-	p.NSymbols = phy.SymbolCount(pcfg, int(hdr.Length))
 	g.m.HeadersDecoded.Inc()
 	g.noteDispatched(p)
 	g.traceHeader(p, job.seq, true)
@@ -905,7 +914,9 @@ func (g *Gateway) Stats() Stats { return g.reg.Snapshot() }
 
 // MaxPacketSamples reports the airtime budget (in samples) the gateway
 // assumes for a packet whose header is not yet decoded: a 255-byte packet
-// at the configured coding rate, preamble included.
+// at the configured coding rate, preamble included. It bounds every
+// payload snapshot: a header claiming more airtime (a higher coding rate
+// than configured) is forwarded undecoded, as a header failure.
 func (g *Gateway) MaxPacketSamples() int64 { return g.maxPkt }
 
 // RingSamples reports the length of the gateway's sample ring: one

@@ -2,7 +2,9 @@ package cic_test
 
 import (
 	"bytes"
+	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 
 	"cic"
@@ -265,5 +267,91 @@ func TestGatewayHeaderFailure(t *testing.T) {
 	}
 	if s := recv.Stats(); s.Counters["header_failures"] != 1 || s.Counters["headers_decoded"] != 0 {
 		t.Errorf("header counters %v", s.Counters)
+	}
+}
+
+// TestGatewayBoundedSnapshot: the ring holds one max-length packet at the
+// configured coding rate, but a header carries its own. A CR 4/8 header
+// claiming 250 bytes (512 symbols at SF8, past the 333 of a 255-byte
+// CR 4/5 packet) is forwarded as one undecoded header failure, with no
+// payload snapshot; a 150-byte CR 4/8 packet (312 symbols) still fits and
+// decodes.
+func TestGatewayBoundedSnapshot(t *testing.T) {
+	cfg := cic.DefaultConfig() // CR 4/5
+	tx := cfg
+	tx.CodingRate = 4 // CR 4/8
+	rng := rand.New(rand.NewSource(5))
+	long := make([]byte, 250)
+	short := make([]byte, 150)
+	rng.Read(long)
+	rng.Read(short)
+	longAir, err := tx.PacketSamples(len(long))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := int64(cfg.SamplesPerSymbol())
+	src, err := cic.SimulateCollision(tx, []cic.Emission{
+		{Payload: long, StartSample: 4096, SNR: 25, CFO: 800},
+		{Payload: short, StartSample: 4096 + int64(longAir) + 20*m, SNR: 25, CFO: -1100},
+	}, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The rendered span starts at the first emission: the long packet
+	// starts at iq[0].
+	iq := append(cic.Samples(src), make([]complex128, 8*m)...)
+
+	var mu sync.Mutex
+	var headers []cic.Event
+	reg := cic.NewMetrics()
+	gw, err := cic.NewGateway(cfg, cic.WithMetrics(reg), cic.WithTracer(func(ev cic.Event) {
+		if ev.Kind == cic.EventHeader {
+			mu.Lock()
+			headers = append(headers, ev)
+			mu.Unlock()
+		}
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := collectPackets(gw)
+	for off := 0; off < len(iq); off += 8192 {
+		if _, err := gw.Write(iq[off:min(off+8192, len(iq))]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := gw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	all := <-done
+
+	if len(all) != 2 {
+		t.Fatalf("%d records, want 2: %+v", len(all), all)
+	}
+	if d := all[0].Start; all[0].OK || all[0].Payload != nil || d > 2 || d < -2 {
+		t.Errorf("250-byte CR 4/8 packet delivered as %+v, want one undecoded record at 0", all[0])
+	}
+	if !all[1].OK || !bytes.Equal(all[1].Payload, short) {
+		t.Errorf("150-byte CR 4/8 packet not decoded: %+v", all[1])
+	}
+	if s := gw.Stats(); s.Counters["header_failures"] != 1 || s.Counters["headers_decoded"] != 1 {
+		t.Errorf("header counters %v", s.Counters)
+	}
+
+	// A payload snapshot spans the preamble (12.25 symbols) plus the
+	// header's symbol count; only a header that decodes is snapshotted.
+	pre := 12*m + m/4
+	mu.Lock()
+	defer mu.Unlock()
+	if len(headers) != 2 {
+		t.Fatalf("%d header events, want 2", len(headers))
+	}
+	for _, ev := range headers {
+		if air := pre + int64(ev.NSymbols)*m; ev.HeaderOK && air > gw.MaxPacketSamples() {
+			t.Errorf("packet %d snapshotted %d samples, budget %d", ev.PacketID, air, gw.MaxPacketSamples())
+		}
+	}
+	if ev := headers[0]; ev.HeaderOK || ev.NSymbols != 512 {
+		t.Errorf("250-byte header event %+v, want HeaderOK=false with its claimed 512 symbols", ev)
 	}
 }

@@ -66,3 +66,27 @@ func TestDetectionComparative(t *testing.T) {
 		t.Errorf("CIC detection %.2f < locked LoRa %.2f", y["CIC"].DetectionRate, y["LoRa"].DetectionRate)
 	}
 }
+
+// TestAblationFigureOrdering: removing both §5.7 filters must not beat
+// full CIC (Figs 36–37).
+func TestAblationFigureOrdering(t *testing.T) {
+	if testing.Short() {
+		t.Skip("heavy")
+	}
+	y := sweep(t, "throughput", 40, 1, `"receivers": ["CIC", "CIC-(Power,CFO)"],`)
+	if y["CIC-(Power,CFO)"].Throughput > y["CIC"].Throughput {
+		t.Errorf("filters hurt: without %.1f > with %.1f", y["CIC-(Power,CFO)"].Throughput, y["CIC"].Throughput)
+	}
+}
+
+// TestICSSComparisonFigure: the two-sub-symbol strawman ICSS must not
+// beat CIC's optimal ICSS (§5.4) under the same traffic.
+func TestICSSComparisonFigure(t *testing.T) {
+	if testing.Short() {
+		t.Skip("heavy")
+	}
+	y := sweep(t, "throughput", 40, 1, `"receivers": ["CIC", "Strawman-CIC"],`)
+	if y["Strawman-CIC"].Throughput > y["CIC"].Throughput {
+		t.Errorf("strawman throughput %.1f > full CIC %.1f", y["Strawman-CIC"].Throughput, y["CIC"].Throughput)
+	}
+}

@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 
-	"cic"
 	"cic/internal/channel"
 	"cic/internal/chirp"
 	"cic/internal/core"
@@ -16,18 +15,16 @@ import (
 	"cic/internal/sim"
 )
 
-// Config carries the experiment-wide knobs. DefaultConfig mirrors the
+// Config carries the figure-wide knobs. DefaultConfig mirrors the
 // paper's deployment configuration (SF8, BW 250 kHz, CR 4/5, 28-byte
-// payloads, 20 nodes) with a simulation duration short enough for
-// laptop-scale regeneration; raise Duration (the paper used 60 s per rate
-// point) for tighter statistics.
+// payloads) with a simulation duration short enough for laptop-scale
+// runs; raise Duration (the paper used 60 s per rate point) for tighter
+// statistics.
 type Config struct {
 	Frame      frame.Config
-	Rates      []float64 // aggregate offered loads, packets/second
-	Duration   float64   // seconds per rate point
+	Duration   float64 // seconds of simulated traffic
 	PayloadLen int
 	Seed       int64
-	Workers    int
 }
 
 // DefaultConfig returns the paper-matching configuration.
@@ -38,11 +35,9 @@ func DefaultConfig() Config {
 			PHY:      phy.Config{SF: 8, CR: phy.CR45, HasCRC: true},
 			SyncWord: 0x34,
 		},
-		Rates:      []float64{5, 10, 20, 40, 60, 80, 100},
 		Duration:   2.0,
 		PayloadLen: 28,
 		Seed:       1,
-		Workers:    0,
 	}
 }
 
@@ -62,51 +57,6 @@ func setLengths(cfg frame.Config, payloadLen int, pkts []*rx.Packet) {
 	for _, p := range pkts {
 		p.NSymbols = n
 	}
-}
-
-// Ablation regenerates Figs 36–37: throughput for the four CIC feature
-// variants in one deployment (the paper shows D1 and D4).
-func Ablation(cfg Config, dep sim.Deployment) (Figure, error) {
-	variants, err := CICVariants(cfg.Frame, cfg.Workers)
-	if err != nil {
-		return Figure{}, err
-	}
-	order := []string{"CIC", "CIC-(CFO)", "CIC-(Power)", "CIC-(Power,CFO)"}
-	id := "fig36"
-	if dep.Name == "D4" {
-		id = "fig37"
-	}
-	fig := Figure{
-		ID:     id,
-		Title:  fmt.Sprintf("Effect of Removing CIC Features for %s", dep.Name),
-		XLabel: "offered pkts/s",
-		YLabel: "decoded pkts/s",
-	}
-	series := make([]Series, len(order))
-	for i, name := range order {
-		series[i].Name = name
-	}
-	nw, err := sim.NewNetwork(cfg.Frame, dep, cfg.Seed)
-	if err != nil {
-		return Figure{}, err
-	}
-	for ri, rate := range cfg.Rates {
-		run, err := nw.BuildRun(rate, cfg.Duration, cfg.PayloadLen, cfg.Seed+int64(ri)*101)
-		if err != nil {
-			return Figure{}, err
-		}
-		for i, name := range order {
-			results, err := variants[name].Receive(run.Source)
-			if err != nil {
-				return Figure{}, err
-			}
-			score := sim.ScoreDecodes(run, results, cfg.Duration)
-			series[i].X = append(series[i].X, rate)
-			series[i].Y = append(series[i].Y, score.Throughput())
-		}
-	}
-	fig.Series = series
-	return fig, nil
 }
 
 // TemporalProximity regenerates Fig 38: symbol error rate of CIC as two
@@ -606,55 +556,6 @@ func SpectraDemo(cfg Config) (Figure, error) {
 		}
 		fig.Series = append(fig.Series, ser)
 	}
-	return fig, nil
-}
-
-// ICSSComparison is an extension figure implied by the paper's Figs 13–14:
-// network throughput of full CIC vs Strawman-CIC (the two-sub-symbol ICSS)
-// under the same traffic, quantifying what the optimal ICSS choice of §5.4
-// is worth end to end.
-func ICSSComparison(cfg Config, dep sim.Deployment) (Figure, error) {
-	variants := []struct {
-		name string
-		algo cic.Algorithm
-	}{
-		{"CIC (optimal ICSS)", cic.AlgorithmCIC},
-		{"Strawman-CIC", cic.AlgorithmStrawman},
-	}
-	fig := Figure{
-		ID:     "icss",
-		Title:  fmt.Sprintf("Optimal ICSS vs Strawman for %s", dep.Name),
-		XLabel: "offered pkts/s",
-		YLabel: "decoded pkts/s",
-	}
-	nw, err := sim.NewNetwork(cfg.Frame, dep, cfg.Seed)
-	if err != nil {
-		return Figure{}, err
-	}
-	series := make([]Series, len(variants))
-	for i, v := range variants {
-		series[i].Name = v.name
-	}
-	for ri, rate := range cfg.Rates {
-		run, err := nw.BuildRun(rate, cfg.Duration, cfg.PayloadLen, cfg.Seed+int64(ri)*101)
-		if err != nil {
-			return Figure{}, err
-		}
-		for i, v := range variants {
-			recv, err := newReceiver(cfg.Frame, cfg.Workers, v.name, cic.WithAlgorithm(v.algo))
-			if err != nil {
-				return Figure{}, err
-			}
-			results, err := recv.Receive(run.Source)
-			if err != nil {
-				return Figure{}, err
-			}
-			score := sim.ScoreDecodes(run, results, cfg.Duration)
-			series[i].X = append(series[i].X, rate)
-			series[i].Y = append(series[i].Y, score.Throughput())
-		}
-	}
-	fig.Series = series
 	return fig, nil
 }
 

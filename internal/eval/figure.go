@@ -1,13 +1,16 @@
-// Package eval regenerates every figure of the paper's evaluation (§7):
-// network throughput (Figs 28–31), packet detection (Figs 32–35), the CIC
-// feature ablation (Figs 36–37), temporal-proximity SER (Fig 38), the
-// cancellation-extent map (Fig 17), the Heisenberg illustration (Fig 15),
-// preamble-detection clutter (Figs 19–20), deployment SNR distributions
-// (Fig 27), the deployment maps (Figs 22–26), and the collision spectra
-// demonstration (Figs 12–14).
+// Package eval holds the figures of the paper's evaluation (§7): the
+// Figure type and its writers, the named receivers and detection
+// scanners that internal/experiment sweeps score for network throughput
+// (Figs 28–31), packet detection (Figs 32–35) and the CIC feature
+// ablation (Figs 36–37), and the single-shot figures: temporal-proximity
+// SER (Fig 38), the cancellation-extent map (Fig 17), the Heisenberg
+// illustration (Fig 15), preamble-detection clutter (Figs 19–20),
+// deployment SNR distributions (Fig 27), the deployment maps
+// (Figs 22–26), and the collision spectra demonstration (Figs 12–14).
 package eval
 
 import (
+	"encoding/csv"
 	"fmt"
 	"io"
 	"strings"
@@ -33,14 +36,17 @@ type Figure struct {
 	Series []Series
 }
 
-// WriteCSV emits the figure as CSV: one row per X value, one column per
-// series. Series are aligned by index (all experiment drivers emit series
-// on a shared X grid). A series with YErr set gets a second
-// "<name> ci95" column holding the interval half-width.
+// WriteCSV emits the figure as CSV after a "# id: title" comment line:
+// one row per X value, one column per series. Series are aligned by index
+// (all experiment drivers emit series on a shared X grid). A series with
+// YErr set gets a second "<name> ci95" column holding the interval
+// half-width. Fields are quoted as RFC 4180 requires, so a series name
+// holding a comma ("CIC-(Power,CFO)") stays one column.
 func (f Figure) WriteCSV(w io.Writer) error {
 	if _, err := fmt.Fprintf(w, "# %s: %s\n", f.ID, f.Title); err != nil {
 		return err
 	}
+	cw := csv.NewWriter(w)
 	cols := []string{f.XLabel}
 	for _, s := range f.Series {
 		cols = append(cols, s.Name)
@@ -48,33 +54,33 @@ func (f Figure) WriteCSV(w io.Writer) error {
 			cols = append(cols, s.Name+" ci95")
 		}
 	}
-	if _, err := fmt.Fprintln(w, strings.Join(cols, ",")); err != nil {
+	if err := cw.Write(cols); err != nil {
 		return err
 	}
-	if len(f.Series) == 0 {
-		return nil
-	}
-	for i := range f.Series[0].X {
-		row := []string{fmt.Sprintf("%g", f.Series[0].X[i])}
-		for _, s := range f.Series {
-			if i < len(s.Y) {
-				row = append(row, fmt.Sprintf("%.4g", s.Y[i]))
-			} else {
-				row = append(row, "")
-			}
-			if s.YErr != nil {
-				if i < len(s.YErr) {
-					row = append(row, fmt.Sprintf("%.4g", s.YErr[i]))
-				} else {
-					row = append(row, "")
+	if len(f.Series) > 0 {
+		for i := range f.Series[0].X {
+			row := []string{fmt.Sprintf("%g", f.Series[0].X[i])}
+			for _, s := range f.Series {
+				row = append(row, cell(s.Y, i))
+				if s.YErr != nil {
+					row = append(row, cell(s.YErr, i))
 				}
 			}
-		}
-		if _, err := fmt.Fprintln(w, strings.Join(row, ",")); err != nil {
-			return err
+			if err := cw.Write(row); err != nil {
+				return err
+			}
 		}
 	}
-	return nil
+	cw.Flush()
+	return cw.Error()
+}
+
+// cell formats vs[i] for a CSV row, empty past the end of vs.
+func cell(vs []float64, i int) string {
+	if i < len(vs) {
+		return fmt.Sprintf("%.4g", vs[i])
+	}
+	return ""
 }
 
 // WriteTable emits a human-readable aligned table of the figure.

@@ -39,43 +39,8 @@ func (r Receiver) Receive(src rx.SampleSource) ([]rx.Decoded, error) {
 	return out, nil
 }
 
-// DefaultReceivers builds the four receivers the paper compares:
-// CIC, FTrack, Choir, and standard LoRa.
-func DefaultReceivers(cfg frame.Config, workers int) ([]Receiver, error) {
-	return DefaultReceiversObserved(cfg, workers, nil)
-}
-
-// DefaultReceiversObserved is DefaultReceivers with the CIC receiver's
-// decode stages instrumented on reg (nil reg disables instrumentation).
-// Only the CIC receiver is instrumented — it is the receiver under study;
-// the baselines exist for comparison curves.
-func DefaultReceiversObserved(cfg frame.Config, workers int, reg *obs.Registry) ([]Receiver, error) {
-	out := make([]Receiver, 0, len(ReceiverNames()))
-	for _, name := range ReceiverNames() {
-		r, err := ReceiverByName(cfg, workers, name, reg)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, r)
-	}
-	return out, nil
-}
-
-// CICVariants builds the four ablation variants of Figs 36–37.
-func CICVariants(cfg frame.Config, workers int) (map[string]Receiver, error) {
-	out := make(map[string]Receiver, 4)
-	for _, name := range []string{"CIC", "CIC-(CFO)", "CIC-(Power)", "CIC-(Power,CFO)"} {
-		r, err := ReceiverByName(cfg, workers, name, nil)
-		if err != nil {
-			return nil, err
-		}
-		out[name] = r
-	}
-	return out, nil
-}
-
-// ReceiverNames lists the receivers ReceiverByName can build, in the
-// paper's comparison order.
+// ReceiverNames lists the paper's four-receiver comparison in its order:
+// the default receiver set of a sweep.
 func ReceiverNames() []string { return []string{"CIC", "FTrack", "Choir", "LoRa"} }
 
 // receiverOptions maps every ReceiverByName name to its cic options.
@@ -87,17 +52,19 @@ var receiverOptions = map[string][]cic.Option{
 	"FTrack":          {cic.WithAlgorithm(cic.AlgorithmFTrack)},
 	"Choir":           {cic.WithAlgorithm(cic.AlgorithmChoir)},
 	"LoRa":            {cic.WithAlgorithm(cic.AlgorithmLoRa)},
+	"Strawman-CIC":    {cic.WithAlgorithm(cic.AlgorithmStrawman)},
 }
 
 // ReceiverByName builds a single named receiver from the paper's
-// comparison set ("CIC", "FTrack", "Choir", "LoRa") or the CIC ablation
-// variants of Figs 36–37 ("CIC-(CFO)", "CIC-(Power)", "CIC-(Power,CFO)").
-// The experiment harness uses this so a config can declare any subset.
-// reg, when non-nil, instruments the "CIC" receiver.
+// comparison set ("CIC", "FTrack", "Choir", "LoRa"), the CIC ablation
+// variants of Figs 36–37 ("CIC-(CFO)", "CIC-(Power)", "CIC-(Power,CFO)")
+// or the two-sub-symbol ICSS of Fig 13 ("Strawman-CIC"). The experiment
+// harness uses this so a config can declare any subset. reg, when
+// non-nil, instruments the "CIC" receiver.
 func ReceiverByName(cfg frame.Config, workers int, name string, reg *obs.Registry) (Receiver, error) {
 	opts, ok := receiverOptions[name]
 	if !ok {
-		return Receiver{}, fmt.Errorf("eval: unknown receiver %q (want one of CIC, FTrack, Choir, LoRa, or a CIC ablation variant)", name)
+		return Receiver{}, fmt.Errorf("eval: unknown receiver %q (want one of CIC, FTrack, Choir, LoRa, Strawman-CIC, or a CIC ablation variant)", name)
 	}
 	if name == "CIC" && reg != nil {
 		opts = []cic.Option{cic.WithMetrics(reg)}

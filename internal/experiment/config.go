@@ -42,7 +42,7 @@ const (
 	KindSweep = "sweep"
 	// KindFigure runs one of the analytic single-shot figures from
 	// internal/eval (heisenberg, cancellation, clutter, snr, maps,
-	// spectra, temporal, ablation, icss) without a trial matrix.
+	// spectra, temporal) without a trial matrix.
 	KindFigure = "figure"
 )
 
@@ -67,7 +67,8 @@ type Config struct {
 
 	// Figure names the internal/eval figure to run when Kind is
 	// KindFigure: one of heisenberg, cancellation, clutter, snr, maps,
-	// spectra, temporal, ablation, icss.
+	// spectra, temporal. A figure reads only Channel, DurationS,
+	// PayloadLen and Seeds.Base; Validate rejects the sweep-only fields.
 	Figure string `json:"figure,omitempty"`
 
 	// Metric selects what a sweep trial measures: MetricThroughput,
@@ -80,10 +81,11 @@ type Config struct {
 
 	// Deployments lists the deployment points of the matrix. Each entry
 	// starts from a named base (D1–D4) and may override the population
-	// and enable the city-scale extensions.
+	// and enable the city-scale extensions. Sweep only.
 	Deployments []DeploymentSpec `json:"deployments"`
 
-	// Rates is the offered-load sweep in aggregate packets/second.
+	// Rates is the offered-load sweep in aggregate packets/second. Sweep
+	// only.
 	Rates []float64 `json:"rates"`
 	// DurationS is the seconds of traffic simulated per rate point.
 	DurationS float64 `json:"duration_s"`
@@ -92,13 +94,14 @@ type Config struct {
 
 	// Receivers names the receivers each sweep trial scores, from
 	// eval.ReceiverByName (CIC, FTrack, Choir, LoRa and the CIC ablation
-	// variants). Empty means the paper's four-receiver comparison.
-	// Ignored when Metric is MetricDetection (the detection strategies
-	// are fixed) and for KindFigure.
+	// variants, Strawman-CIC). Empty means the paper's four-receiver
+	// comparison. Ignored when Metric is MetricDetection (the detection
+	// strategies are fixed); rejected for KindFigure.
 	Receivers []string `json:"receivers,omitempty"`
 
 	// Seeds spans the seed matrix: Count trials per (deployment, rate)
-	// point, with per-trial seeds derived from Base.
+	// point, with per-trial seeds derived from Base. A figure config
+	// takes Base as its seed and rejects Count.
 	Seeds Seeds `json:"seeds"`
 
 	// Fault, when set, is an internal/fault schedule spec (e.g.
@@ -108,11 +111,12 @@ type Config struct {
 
 	// Workers bounds decode workers inside each receiver (0 means
 	// GOMAXPROCS). Trial-level concurrency is a Runner option, not
-	// config, so the same config runs identically on any machine.
+	// config, so the same config runs identically on any machine. Sweep
+	// only.
 	Workers int `json:"workers,omitempty"`
 
 	// Summary additionally emits the headline-ratio figure (CIC ÷ LoRa,
-	// CIC ÷ FTrack) for throughput sweeps.
+	// CIC ÷ FTrack) for throughput sweeps. Sweep only.
 	Summary bool `json:"summary,omitempty"`
 }
 
@@ -151,14 +155,6 @@ type Seeds struct {
 	// Count is the number of seeded trials per (deployment, rate) point
 	// (0 means 1). The aggregator needs ≥ 2 for confidence intervals.
 	Count int `json:"count,omitempty"`
-}
-
-// figureNames are the KindFigure experiments: the single-shot analytic
-// figures that are not sweeps.
-var figureNames = map[string]bool{
-	"heisenberg": true, "cancellation": true, "clutter": true,
-	"snr": true, "maps": true, "spectra": true, "temporal": true,
-	"ablation": true, "icss": true,
 }
 
 // Parse reads a strict-JSON config: unknown fields, trailing garbage and
@@ -209,6 +205,9 @@ func (c *Config) Validate() error {
 		default:
 			return fmt.Errorf("experiment: unknown metric %q", c.Metric)
 		}
+		if len(c.Deployments) == 0 {
+			return fmt.Errorf("experiment: sweep config has no deployments")
+		}
 		if len(c.Rates) == 0 {
 			return fmt.Errorf("experiment: sweep config has no rates")
 		}
@@ -216,14 +215,27 @@ func (c *Config) Validate() error {
 			return fmt.Errorf("experiment: figure %q is meaningless for a sweep (use kind %q)", c.Figure, KindFigure)
 		}
 	case KindFigure:
-		if !figureNames[c.Figure] {
+		if figures[c.Figure] == nil {
 			return fmt.Errorf("experiment: unknown figure %q", c.Figure)
 		}
 		if c.Metric != "" {
 			return fmt.Errorf("experiment: metric %q is meaningless for a figure config", c.Metric)
 		}
-		if c.Fault != "" {
-			return fmt.Errorf("experiment: fault schedules apply only to sweep configs")
+		for _, f := range []struct {
+			name string
+			set  bool
+		}{
+			{"deployments", c.Deployments != nil},
+			{"rates", c.Rates != nil},
+			{"receivers", c.Receivers != nil},
+			{"seeds.count", c.Seeds.Count != 0},
+			{"fault", c.Fault != ""},
+			{"workers", c.Workers != 0},
+			{"summary", c.Summary},
+		} {
+			if f.set {
+				return fmt.Errorf("experiment: %s applies only to sweep configs", f.name)
+			}
 		}
 	case "":
 		return fmt.Errorf("experiment: config has no kind (want %q or %q)", KindSweep, KindFigure)
@@ -232,9 +244,6 @@ func (c *Config) Validate() error {
 	}
 	if err := c.Channel.validate(); err != nil {
 		return err
-	}
-	if len(c.Deployments) == 0 {
-		return fmt.Errorf("experiment: config has no deployments")
 	}
 	for i, d := range c.Deployments {
 		if _, err := sim.DeploymentByName(d.Base); err != nil {

@@ -67,7 +67,8 @@ func TestParseRejects(t *testing.T) {
 		"bad kind":          `{"version":1,"name":"x","kind":"zap","deployments":[{"base":"D1"}],"rates":[10],"duration_s":1}`,
 		"no metric":         `{"version":1,"name":"x","kind":"sweep","deployments":[{"base":"D1"}],"rates":[10],"duration_s":1}`,
 		"bad metric":        `{"version":1,"name":"x","kind":"sweep","metric":"vibes","deployments":[{"base":"D1"}],"rates":[10],"duration_s":1}`,
-		"bad figure":        `{"version":1,"name":"x","kind":"figure","figure":"nonesuch","deployments":[{"base":"D1"}]}`,
+		"bad figure":        `{"version":1,"name":"x","kind":"figure","figure":"nonesuch"}`,
+		"retired figure":    `{"version":1,"name":"x","kind":"figure","figure":"ablation"}`,
 		"sf low":            `{"version":1,"name":"x","kind":"sweep","metric":"prr","channel":{"sf":6},"deployments":[{"base":"D1"}],"rates":[10],"duration_s":1}`,
 		"sf high":           `{"version":1,"name":"x","kind":"sweep","metric":"prr","channel":{"sf":13},"deployments":[{"base":"D1"}],"rates":[10],"duration_s":1}`,
 		"bad bw":            `{"version":1,"name":"x","kind":"sweep","metric":"prr","channel":{"bandwidth_hz":300000},"deployments":[{"base":"D1"}],"rates":[10],"duration_s":1}`,
@@ -81,8 +82,15 @@ func TestParseRejects(t *testing.T) {
 		"bad receiver":      `{"version":1,"name":"x","kind":"sweep","metric":"prr","deployments":[{"base":"D1"}],"rates":[10],"duration_s":1,"receivers":["WiFi"]}`,
 		"bad fault spec":    `{"version":1,"name":"x","kind":"sweep","metric":"prr","deployments":[{"base":"D1"}],"rates":[10],"duration_s":1,"fault":"zorp@"}`,
 		"payload too large": `{"version":1,"name":"x","kind":"sweep","metric":"prr","deployments":[{"base":"D1"}],"rates":[10],"duration_s":1,"payload_len":300}`,
-		"fault on figure":   `{"version":1,"name":"x","kind":"figure","figure":"snr","deployments":[{"base":"D1"}],"fault":"drop@10"}`,
-		"trailing doc":      `{"version":1,"name":"x","kind":"figure","figure":"snr","deployments":[{"base":"D1"}]}{"again":true}`,
+		"fault on figure":   `{"version":1,"name":"x","kind":"figure","figure":"snr","fault":"drop@10"}`,
+		"deps on figure":    `{"version":1,"name":"x","kind":"figure","figure":"snr","deployments":[{"base":"D1"}]}`,
+		"empty deps figure": `{"version":1,"name":"x","kind":"figure","figure":"snr","deployments":[]}`,
+		"rates on figure":   `{"version":1,"name":"x","kind":"figure","figure":"snr","rates":[10]}`,
+		"rx on figure":      `{"version":1,"name":"x","kind":"figure","figure":"snr","receivers":["CIC"]}`,
+		"workers on figure": `{"version":1,"name":"x","kind":"figure","figure":"snr","workers":2}`,
+		"summary on figure": `{"version":1,"name":"x","kind":"figure","figure":"snr","summary":true}`,
+		"seeds on figure":   `{"version":1,"name":"x","kind":"figure","figure":"snr","seeds":{"base":1,"count":2}}`,
+		"trailing doc":      `{"version":1,"name":"x","kind":"figure","figure":"snr"}{"again":true}`,
 		"not json":          `pure garbage`,
 	}
 	for label, src := range cases {
@@ -450,7 +458,7 @@ func TestRunRejectsBadOptions(t *testing.T) {
 	if _, err := Run(ctx, det, RunnerOptions{Drive: DriveGatewayd, Gatewayd: &Gatewayd{}}); err == nil {
 		t.Error("detection sweep over gatewayd accepted")
 	}
-	fig := mustParse(t, `{"version":1,"name":"f","kind":"figure","figure":"snr","deployments":[{"base":"D1"}]}`)
+	fig := mustParse(t, `{"version":1,"name":"f","kind":"figure","figure":"snr"}`)
 	if _, err := Run(ctx, fig, RunnerOptions{}); err == nil {
 		t.Error("figure config accepted by sweep runner")
 	}
@@ -493,7 +501,6 @@ func TestDetectionSweep(t *testing.T) {
 func TestFiguresDispatch(t *testing.T) {
 	cfg := mustParse(t, `{
 		"version": 1, "name": "snr-fig", "kind": "figure", "figure": "snr",
-		"deployments": [{"base":"D1"},{"base":"D2"},{"base":"D3"},{"base":"D4"}],
 		"seeds": {"base": 1}
 	}`)
 	figs, err := Figures(cfg)

@@ -8,14 +8,14 @@ import (
 // FuzzParseExperimentConfig asserts the strict parser's safety contract:
 // it never panics on arbitrary bytes, and anything it accepts satisfies
 // the schema invariants (version pinned, channel in range, kind/metric
-// consistent, positive rates).
+// consistent, positive rates, figure configs free of sweep-only fields).
 func FuzzParseExperimentConfig(f *testing.F) {
 	f.Add([]byte(validConfigJSON))
 	f.Add([]byte(`{}`))
 	f.Add([]byte(``))
 	f.Add([]byte(`null`))
 	f.Add([]byte(`[1,2,3]`))
-	f.Add([]byte(`{"version":1,"name":"x","kind":"figure","figure":"snr","deployments":[{"base":"D1"}]}`))
+	f.Add([]byte(`{"version":1,"name":"x","kind":"figure","figure":"snr"}`))
 	f.Add([]byte(`{"version":1,"name":"x","kind":"sweep","metric":"prr","channel":{"sf":99},"deployments":[{"base":"D1"}],"rates":[10],"duration_s":1}`))
 	f.Add([]byte(`{"version":1,"name":"x","kind":"sweep","metric":"prr","channel":{"bandwidth_hz":1},"deployments":[{"base":"D1"}],"rates":[10],"duration_s":1}`))
 	f.Add([]byte(`{"version":1,"unknown_key":true}`))
@@ -43,15 +43,19 @@ func FuzzParseExperimentConfig(f *testing.F) {
 		default:
 			t.Fatalf("accepted bandwidth %g", bw)
 		}
-		if len(cfg.Deployments) == 0 {
-			t.Fatal("accepted empty deployment list")
-		}
 		for _, r := range cfg.Rates {
 			if r <= 0 {
 				t.Fatalf("accepted rate %g", r)
 			}
 		}
+		if cfg.Kind == KindFigure && (cfg.Deployments != nil || cfg.Rates != nil || cfg.Receivers != nil ||
+			cfg.Seeds.Count != 0 || cfg.Workers != 0 || cfg.Summary || cfg.Fault != "") {
+			t.Fatalf("figure config accepted with sweep-only fields: %+v", cfg)
+		}
 		if cfg.Kind == KindSweep {
+			if len(cfg.Deployments) == 0 {
+				t.Fatal("accepted sweep with an empty deployment list")
+			}
 			if cfg.Metric != MetricThroughput && cfg.Metric != MetricPRR && cfg.Metric != MetricDetection {
 				t.Fatalf("accepted sweep metric %q", cfg.Metric)
 			}
