@@ -128,14 +128,9 @@ func TestFigureCIColumns(t *testing.T) {
 }
 
 // TestReceiverByName: every registered receiver name builds and reports
-// its name, and the paper's comparison set is among them.
+// its name, and an unknown name is rejected.
 func TestReceiverByName(t *testing.T) {
 	cfg := quickConfig()
-	for _, name := range ReceiverNames() {
-		if _, ok := receiverOptions[name]; !ok {
-			t.Errorf("comparison receiver %s is not registered", name)
-		}
-	}
 	for name := range receiverOptions {
 		r, err := ReceiverByName(cfg.Frame, 1, name, nil)
 		if err != nil {
@@ -147,6 +142,32 @@ func TestReceiverByName(t *testing.T) {
 	}
 	if _, err := ReceiverByName(cfg.Frame, 1, "nonesuch", nil); err == nil {
 		t.Error("unknown receiver accepted")
+	}
+}
+
+// TestDefaultReceiversAndVariants: the paper's comparison set is what
+// ReceiverNames lists, and it and the four CIC ablation variants of
+// Figs 36–37 build through ReceiverByName under their own names.
+func TestDefaultReceiversAndVariants(t *testing.T) {
+	cfg := quickConfig()
+	names := map[string]bool{}
+	for _, name := range ReceiverNames() {
+		names[name] = true
+	}
+	for _, want := range []string{"CIC", "FTrack", "Choir", "LoRa"} {
+		if !names[want] {
+			t.Errorf("missing receiver %s", want)
+		}
+	}
+	variants := []string{"CIC", "CIC-(CFO)", "CIC-(Power)", "CIC-(Power,CFO)"}
+	for _, name := range append(ReceiverNames(), variants...) {
+		r, err := ReceiverByName(cfg.Frame, 1, name, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if r.Name() != name {
+			t.Errorf("receiver %s reports name %s", name, r.Name())
+		}
 	}
 }
 
