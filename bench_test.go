@@ -29,7 +29,6 @@ import (
 // benchEvalConfig is a reduced experiment configuration for benchmarks.
 func benchEvalConfig() eval.Config {
 	cfg := eval.DefaultConfig()
-	cfg.Duration = 0.5
 	cfg.PayloadLen = 16
 	return cfg
 }

@@ -14,7 +14,7 @@ func TestRunConfigLightweightFigures(t *testing.T) {
 	for _, fig := range []string{"heisenberg", "snr", "maps", "cancellation"} {
 		path := filepath.Join(dir, fig+".json")
 		cfg := `{"version": 1, "name": "` + fig + `", "kind": "figure", "figure": "` + fig + `",
-			"duration_s": 0.5, "payload_len": 8, "seeds": {"base": 1}}`
+			"payload_len": 8, "seeds": {"base": 1}}`
 		if err := os.WriteFile(path, []byte(cfg), 0o644); err != nil {
 			t.Fatal(err)
 		}

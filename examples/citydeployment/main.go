@@ -17,7 +17,7 @@ import (
 
 func main() {
 	cfg := eval.DefaultConfig()
-	cfg.Duration = 2.0
+	const duration = 2.0 // seconds of simulated traffic per offered load
 
 	nw, err := sim.NewNetwork(cfg.Frame, sim.D4, 11)
 	if err != nil {
@@ -35,7 +35,7 @@ func main() {
 		sim.D4.Label, len(nw.Nodes), snrs[0], snrs[len(snrs)-1], snrs[len(snrs)/2])
 
 	for _, rate := range []float64{10, 40} {
-		run, err := nw.BuildRun(rate, cfg.Duration, cfg.PayloadLen, 13)
+		run, err := nw.BuildRun(rate, duration, cfg.PayloadLen, 13)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -49,7 +49,7 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			score := sim.ScoreDecodes(run, results, cfg.Duration)
+			score := sim.ScoreDecodes(run, results, duration)
 			fmt.Printf("  %-8s %3d/%3d decoded (detection %4.0f%%)\n",
 				recv.Name(), score.Decoded, score.Offered, 100*score.DetectionRate())
 		}

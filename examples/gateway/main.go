@@ -17,19 +17,21 @@ import (
 
 func main() {
 	cfg := eval.DefaultConfig()
-	cfg.Duration = 2.0
-	const rate = 40.0 // offered load, packets/second network-wide
+	const (
+		duration = 2.0  // seconds of simulated traffic
+		rate     = 40.0 // offered load, packets/second network-wide
+	)
 
 	nw, err := sim.NewNetwork(cfg.Frame, sim.D1, 7)
 	if err != nil {
 		log.Fatal(err)
 	}
-	run, err := nw.BuildRun(rate, cfg.Duration, cfg.PayloadLen, 7)
+	run, err := nw.BuildRun(rate, duration, cfg.PayloadLen, 7)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("deployment %s: %d nodes, %d packets offered over %.0fs (%.0f pkts/s)\n",
-		sim.D1.Name, len(nw.Nodes), len(run.Truth), cfg.Duration, rate)
+		sim.D1.Name, len(nw.Nodes), len(run.Truth), duration, rate)
 
 	// The CIC receiver runs instrumented so the decode-stage totals can be
 	// reported after the comparison.
@@ -44,7 +46,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		score := sim.ScoreDecodes(run, results, cfg.Duration)
+		score := sim.ScoreDecodes(run, results, duration)
 		fmt.Printf("%-8s decoded %3d/%3d packets (%5.1f pkts/s) in %v\n",
 			recv.Name(), score.Decoded, score.Offered, score.Throughput(), time.Since(t0).Round(time.Millisecond))
 	}

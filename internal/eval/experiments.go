@@ -17,12 +17,9 @@ import (
 
 // Config carries the figure-wide knobs. DefaultConfig mirrors the
 // paper's deployment configuration (SF8, BW 250 kHz, CR 4/5, 28-byte
-// payloads) with a simulation duration short enough for laptop-scale
-// runs; raise Duration (the paper used 60 s per rate point) for tighter
-// statistics.
+// payloads).
 type Config struct {
 	Frame      frame.Config
-	Duration   float64 // seconds of simulated traffic
 	PayloadLen int
 	Seed       int64
 }
@@ -35,7 +32,6 @@ func DefaultConfig() Config {
 			PHY:      phy.Config{SF: 8, CR: phy.CR45, HasCRC: true},
 			SyncWord: 0x34,
 		},
-		Duration:   2.0,
 		PayloadLen: 28,
 		Seed:       1,
 	}

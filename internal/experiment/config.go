@@ -67,8 +67,8 @@ type Config struct {
 
 	// Figure names the internal/eval figure to run when Kind is
 	// KindFigure: one of heisenberg, cancellation, clutter, snr, maps,
-	// spectra, temporal. A figure reads only Channel, DurationS,
-	// PayloadLen and Seeds.Base; Validate rejects the sweep-only fields.
+	// spectra, temporal. A figure reads only Channel, PayloadLen and
+	// Seeds.Base; Validate rejects the sweep-only fields.
 	Figure string `json:"figure,omitempty"`
 
 	// Metric selects what a sweep trial measures: MetricThroughput,
@@ -87,7 +87,8 @@ type Config struct {
 	// Rates is the offered-load sweep in aggregate packets/second. Sweep
 	// only.
 	Rates []float64 `json:"rates"`
-	// DurationS is the seconds of traffic simulated per rate point.
+	// DurationS is the seconds of traffic simulated per rate point. Sweep
+	// only.
 	DurationS float64 `json:"duration_s"`
 	// PayloadLen is the packet payload size in bytes (paper: 28).
 	PayloadLen int `json:"payload_len"`
@@ -227,6 +228,7 @@ func (c *Config) Validate() error {
 		}{
 			{"deployments", c.Deployments != nil},
 			{"rates", c.Rates != nil},
+			{"duration_s", c.DurationS != 0},
 			{"receivers", c.Receivers != nil},
 			{"seeds.count", c.Seeds.Count != 0},
 			{"fault", c.Fault != ""},
@@ -270,12 +272,8 @@ func (c *Config) Validate() error {
 			return fmt.Errorf("experiment: rate %d (%g) must be a positive finite load", i, r)
 		}
 	}
-	if c.Kind == KindSweep {
-		if c.DurationS <= 0 || c.DurationS > 3600 {
-			return fmt.Errorf("experiment: duration %g s out of (0,3600]", c.DurationS)
-		}
-	} else if c.DurationS < 0 || c.DurationS > 3600 {
-		return fmt.Errorf("experiment: duration %g s out of [0,3600]", c.DurationS)
+	if c.Kind == KindSweep && (c.DurationS <= 0 || c.DurationS > 3600) {
+		return fmt.Errorf("experiment: duration %g s out of (0,3600]", c.DurationS)
 	}
 	if c.PayloadLen < 0 || c.PayloadLen > 255 {
 		return fmt.Errorf("experiment: payload length %d out of [0,255]", c.PayloadLen)

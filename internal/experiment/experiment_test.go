@@ -86,6 +86,7 @@ func TestParseRejects(t *testing.T) {
 		"deps on figure":    `{"version":1,"name":"x","kind":"figure","figure":"snr","deployments":[{"base":"D1"}]}`,
 		"empty deps figure": `{"version":1,"name":"x","kind":"figure","figure":"snr","deployments":[]}`,
 		"rates on figure":   `{"version":1,"name":"x","kind":"figure","figure":"snr","rates":[10]}`,
+		"dur on figure":     `{"version":1,"name":"x","kind":"figure","figure":"snr","duration_s":2}`,
 		"rx on figure":      `{"version":1,"name":"x","kind":"figure","figure":"snr","receivers":["CIC"]}`,
 		"workers on figure": `{"version":1,"name":"x","kind":"figure","figure":"snr","workers":2}`,
 		"summary on figure": `{"version":1,"name":"x","kind":"figure","figure":"snr","summary":true}`,

@@ -19,10 +19,10 @@ var figures = map[string]func(eval.Config) (eval.Figure, error){
 }
 
 // Figures runs a KindFigure config: one analytic single-shot figure of
-// internal/eval, parameterised from the config's channel, duration,
-// payload length and base seed. These are not trial matrices (no journal,
-// no CIs) — they exist so every committed figure of the paper regenerates
-// from a config file.
+// internal/eval, parameterised from the config's channel, payload length
+// and base seed. These are not trial matrices (no journal, no CIs) — they
+// exist so every committed figure of the paper regenerates from a config
+// file.
 func Figures(cfg *Config) ([]eval.Figure, error) {
 	if cfg.Kind != KindFigure {
 		return nil, fmt.Errorf("experiment: Figures wants a %q config", KindFigure)
@@ -34,7 +34,6 @@ func Figures(cfg *Config) ([]eval.Figure, error) {
 	}
 	fig, err := run(eval.Config{
 		Frame:      cfg.FrameConfig(),
-		Duration:   cfg.DurationS,
 		PayloadLen: cfg.PayloadLen,
 		Seed:       cfg.Seeds.Base,
 	})

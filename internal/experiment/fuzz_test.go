@@ -48,8 +48,8 @@ func FuzzParseExperimentConfig(f *testing.F) {
 				t.Fatalf("accepted rate %g", r)
 			}
 		}
-		if cfg.Kind == KindFigure && (cfg.Deployments != nil || cfg.Rates != nil || cfg.Receivers != nil ||
-			cfg.Seeds.Count != 0 || cfg.Workers != 0 || cfg.Summary || cfg.Fault != "") {
+		if cfg.Kind == KindFigure && (cfg.Deployments != nil || cfg.Rates != nil || cfg.DurationS != 0 ||
+			cfg.Receivers != nil || cfg.Seeds.Count != 0 || cfg.Workers != 0 || cfg.Summary || cfg.Fault != "") {
 			t.Fatalf("figure config accepted with sweep-only fields: %+v", cfg)
 		}
 		if cfg.Kind == KindSweep {
